@@ -28,40 +28,15 @@ from .blocks import (
     refines_at,
     remark_counterexamples,
     star_dominates_at,
-    subset_implied,
 )
-from .conditions import (
-    EMPTY_CONDITION,
-    Condition,
-    CoordPart,
-    LeqReport,
-    RefinementCertificate,
-    ValidationReport,
-    Violation,
-    condition_of,
-    condition_to_json,
-    leq_check,
-    resolve_name,
-    restrict,
-    validate,
-    workspace_of,
-)
+from .conditions import leq_check, restrict
 from .engine import (
     CohenDisagreeGoal,
-    DerivedReals,
     DominateGoal,
-    GenericRun,
     IncomparableGoal,
-    LedgerEntry,
     LengthGoal,
     build_generic,
-    extract_reals,
-    extract_reals_from,
     goal_descriptor,
-    incomparability_extend,
-    ladder_extend,
-    make_dominating_name,
-    start_condition,
 )
 from .errors import (
     BlockForcingError,
@@ -78,42 +53,19 @@ from .errors import (
     UnknownElement,
 )
 from .harness import (
-    CoverageEntry,
-    CoverageReport,
     GoalPlan,
-    IsomorphismReport,
     Scenario,
     build_goals,
     check_coverage,
     check_isomorphism,
     load_scenario,
     render_report,
-    report_json,
     run_scenario,
     tiny_subset_check,
 )
-from .names import (
-    CoordinateName,
-    DiagonalName,
-    GroundName,
-    MergeName,
-    coordinate_elements,
-    descriptor,
-    diagonal_ranks,
-)
+from .names import CoordinateName, DiagonalName, GroundName, MergeName
 from .patterns import GroundReal
-from .poset import (
-    TOP,
-    Poset,
-    RankedPoset,
-    compute_ranks,
-    dump_poset,
-    has_strict_upper_bound,
-    linear_extension_above,
-    load_poset,
-    restricted_linear_order,
-)
-from .resolution import Workspace, cascade_schedule
+from .poset import Poset, compute_ranks, load_poset
 
 __version__ = "0.1.0"
 
@@ -122,82 +74,45 @@ __all__ = [
     "BlockForcingError",
     "CannotAdvance",
     "CohenDisagreeGoal",
-    "Condition",
-    "CoordPart",
     "CoordinateName",
-    "CoverageEntry",
-    "CoverageReport",
     "CycleError",
-    "DerivedReals",
     "DiagonalName",
     "DominateGoal",
-    "EMPTY_CONDITION",
     "EmptySequence",
-    "GenericRun",
     "GoalPlan",
     "GroundName",
     "GroundReal",
     "IncSeq",
     "IncomparableGoal",
     "InsufficientViolations",
-    "IsomorphismReport",
-    "LedgerEntry",
     "LengthGoal",
     "LengthTooShort",
-    "LeqReport",
     "MergeName",
     "NotCofinal",
     "NotIncomparable",
     "Poset",
-    "RankedPoset",
-    "RefinementCertificate",
     "ResolutionExhausted",
     "Scenario",
     "SearchExhausted",
     "SpecError",
-    "TOP",
     "UnknownElement",
-    "ValidationReport",
-    "Violation",
     "Window",
-    "Workspace",
     "build_generic",
     "build_goals",
-    "cascade_schedule",
     "check_coverage",
     "check_isomorphism",
-    "condition_of",
-    "condition_to_json",
-    "coordinate_elements",
     "compute_ranks",
-    "descriptor",
-    "diagonal_ranks",
-    "dump_poset",
     "e_member",
-    "extract_reals",
-    "extract_reals_from",
     "goal_descriptor",
-    "has_strict_upper_bound",
-    "incomparability_extend",
-    "ladder_extend",
     "leq_check",
-    "linear_extension_above",
     "load_poset",
     "load_scenario",
-    "make_dominating_name",
     "non_subset_witness",
     "refines_at",
     "remark_counterexamples",
     "render_report",
-    "report_json",
-    "resolve_name",
     "restrict",
-    "restricted_linear_order",
     "run_scenario",
     "star_dominates_at",
-    "start_condition",
-    "subset_implied",
     "tiny_subset_check",
-    "validate",
-    "workspace_of",
 ]

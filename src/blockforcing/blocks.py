@@ -163,11 +163,6 @@ def e_member(z, x, f, m, w):
     return True
 
 
-def subset_implied(f, g, w):
-    """Refinement holds on the window, so f-side membership transfers to g."""
-    return not refines_at(f, g, w)
-
-
 def non_subset_witness(x, y, f, g, w):
     """A word that disagrees with x in every f-block yet copies y on two g-blocks.
 

@@ -4,7 +4,7 @@ Three subcommands: ``run`` executes a scenario file and emits the audit
 report, ``check-poset`` ranks a poset file, and ``oracle`` exposes the
 finite block comparisons for one-off use.  Exit codes are uniform:
 0 success, 1 honest failure (audit failed, budget exhausted, search
-found nothing), 2 malformed input.
+found nothing), 2 malformed input or an unwritable report path.
 """
 
 import argparse
@@ -120,8 +120,11 @@ def _cmd_run(args):
 
     text = render_report(run, iso, cov, sc)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise SpecError(f"cannot write report {args.out!r}: {err}") from err
     else:
         sys.stdout.write(text)
 

@@ -8,6 +8,11 @@ its name through an explicit certificate (clause 3a) and certifying a
 block of the old name inside every newly opened t-gap (clause 3b), and
 nest same-rank comparable coordinates (clause 4).
 
+Conditions hold plain tuples: each Cohen prefix is a tuple of bits and
+each t-sequence a tuple of ints.  The engine copies them off its
+workspace once per link; the derived reals validate them once, at the
+end of a run (see ``engine.extract_reals_from``).
+
 Clause 3b is a forced statement, so it is decided from determined data
 only: the restricted condition plus the stronger side's Cohen prefix at
 the coordinate's rank, evaluated by a non-extending workspace.
@@ -17,27 +22,27 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .blocks import BitSeq, IncSeq
 from .errors import CannotAdvance
-from .names import MergeName, descriptor, diagonal_ranks
+from .names import MergeName, descriptor
 from .resolution import Workspace
 
 
 class CoordPart(NamedTuple):
-    t: IncSeq
+    t: tuple
     name: object
 
 
 @dataclass(frozen=True)
 class Condition:
-    """One forcing condition; treat as immutable after construction."""
+    """One forcing condition; treat as immutable after construction.
+
+    ``cohen`` maps each rank to a tuple of bits; ``coords`` maps each
+    support element to a :class:`CoordPart`.
+    """
 
     support: frozenset
     cohen: dict
     coords: dict
-
-
-EMPTY_CONDITION = Condition(frozenset(), {}, {})
 
 
 @dataclass(frozen=True)
@@ -79,15 +84,6 @@ class LeqReport:
         return self.ok
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    problems: tuple
-
-    def __bool__(self):
-        return self.ok
-
-
 def restrict(p, b, rp):
     """The part of p visible strictly below b (in order and rank)."""
     down = rp.down_set(b)
@@ -100,35 +96,12 @@ def restrict(p, b, rp):
     )
 
 
-def validate(p, rp, ambient):
-    """Check the shape invariants of p against an ambient index."""
-    problems = []
-    down = rp.down_set(ambient)
-    stray = p.support - down
-    if stray:
-        problems.append(f"support reaches outside the ambient cone: {sorted(stray)}")
-    if set(p.coords) != set(p.support):
-        problems.append("coordinate parts must be keyed exactly by the support")
-    want_ranks = {rp.ranks[x] for x in p.support if x in rp.ranks}
-    if set(p.cohen) != want_ranks:
-        problems.append(
-            f"Cohen parts keyed by {sorted(p.cohen)}, support ranks are {sorted(want_ranks)}"
-        )
-    for b, part in p.coords.items():
-        vals = tuple(part.t)
-        if any(vals[i] >= vals[i + 1] for i in range(len(vals) - 1)) or any(
-            v < 0 for v in vals
-        ):
-            problems.append(f"t at {b!r} is not strictly increasing over naturals")
-    return ValidationReport(not problems, tuple(problems))
-
-
 def workspace_of(cond, rp, extend=True, caches=None):
     return Workspace(
         rp,
         cond.support,
-        {r: tuple(bits) for r, bits in cond.cohen.items()},
-        {b: tuple(part.t) for b, part in cond.coords.items()},
+        cond.cohen,
+        {b: part.t for b, part in cond.coords.items()},
         {b: part.name for b, part in cond.coords.items()},
         extend=extend,
         caches=caches,
@@ -140,31 +113,19 @@ def condition_of(ws, rp):
     ranks = {rp.ranks[x] for x in support}
     return Condition(
         support=support,
-        cohen={r: BitSeq(ws.cohen.get(r, ())) for r in sorted(ranks)},
-        coords={
-            b: CoordPart(IncSeq(ws.t[b]), ws.names[b]) for b in sorted(support)
-        },
+        cohen={r: tuple(ws.cohen.get(r, ())) for r in sorted(ranks)},
+        coords={b: CoordPart(tuple(ws.t[b]), ws.names[b]) for b in sorted(support)},
     )
 
 
 def _restricted_view(p, b, rp, cache):
     # The decision context of clause 3b: p below b, plus p's own Cohen
     # prefix at b's rank riding alongside (b itself is never in its cone).
-    down = rp.down_set(b)
-    support = p.support & down
-    ranks = {rp.ranks[x] for x in support}
-    cohen = {r: tuple(p.cohen[r]) for r in ranks if r in p.cohen}
+    caches = cache.setdefault(b, {}) if cache is not None else None
+    view = workspace_of(restrict(p, b, rp), rp, extend=False, caches=caches)
     rb = rp.ranks[b]
-    cohen[rb] = tuple(p.cohen.get(rb, ()))
-    return Workspace(
-        rp,
-        support,
-        cohen,
-        {x: tuple(p.coords[x].t) for x in support},
-        {x: p.coords[x].name for x in support},
-        extend=False,
-        caches=cache.setdefault(b, {}) if cache is not None else None,
-    )
+    view.cohen[rb] = list(p.cohen.get(rb, ()))
+    return view
 
 
 def _names_linked(old, new, certs):
@@ -200,16 +161,14 @@ def leq_check(p, q, rp, certs=frozenset(), cache=None):
         violations.append(Violation("1", tuple(sorted(missing)), "support was dropped"))
 
     for rank in sorted(q.cohen):
-        old = tuple(q.cohen[rank])
-        new = tuple(p.cohen.get(rank, ()))
+        old = q.cohen[rank]
+        new = p.cohen.get(rank, ())
         if new[: len(old)] != old:
             violations.append(Violation("2", rank, "Cohen prefix not extended"))
 
     for b in sorted(q.support & p.support):
-        t_old, name_old = q.coords[b]
-        t_new, name_new = p.coords[b]
-        old_vals = tuple(t_old)
-        new_vals = tuple(t_new)
+        old_vals, name_old = q.coords[b]
+        new_vals, name_new = p.coords[b]
         if new_vals[: len(old_vals)] != old_vals:
             violations.append(Violation("3", b, "t-sequence not extended"))
             continue
@@ -238,8 +197,8 @@ def leq_check(p, q, rp, certs=frozenset(), cache=None):
             if b == c or rp.ranks[b] != rp.ranks[c] or not rp.poset.lt(b, c):
                 continue
             old_len = len(q.coords[c].t)
-            new_c = tuple(p.coords[c].t)
-            t_b = tuple(p.coords[b].t)
+            new_c = p.coords[c].t
+            t_b = p.coords[b].t
             for n in range(max(old_len, 1), len(new_c)):
                 lo, hi = new_c[n - 1], new_c[n]
                 k = bisect_left(t_b, lo)
@@ -255,44 +214,10 @@ def leq_check(p, q, rp, certs=frozenset(), cache=None):
     return LeqReport(not violations, tuple(violations))
 
 
-def resolve_name(nm, below, cohen, target_len, rp):
-    """Advance nm under (below, cohen) until its prefix has target_len values.
-
-    Returns the possibly extended condition, the possibly extended Cohen
-    prefix, and the prefix itself.  Ground names never touch the inputs;
-    coordinate names may ladder the condition; diagonal names may append
-    pattern-flipping bits to the Cohen prefix; merges do whatever their
-    children need.
-    """
-    tags = diagonal_ranks(nm)
-    if len(tags) > 1:
-        raise ValueError(f"one name tree must stay at one rank, found tags {sorted(tags)}")
-    ws = workspace_of(below, rp, extend=True)
-    tag = next(iter(tags)) if tags else None
-    if tag is not None:
-        ws.cohen[tag] = list(cohen)
-
-    block = ws.next_block(nm, 0)
-    if block is None:
-        raise CannotAdvance(f"{nm!r} yields no first block")
-    prefix = [block[0], block[1]]
-    while len(prefix) < target_len:
-        block = ws.next_block(nm, prefix[-1])
-        if block is None:
-            raise CannotAdvance(f"{nm!r} stalls at {prefix[-1]}")
-        if block[0] == prefix[-1]:
-            prefix.append(block[1])
-        else:
-            prefix.extend(block)
-
-    out_cohen = BitSeq(ws.cohen[tag]) if tag is not None else cohen
-    return condition_of(ws, rp), out_cohen, IncSeq(prefix)
-
-
 def condition_to_json(p):
     return {
         "support": sorted(p.support),
-        "cohen": {str(rank): BitSeq(p.cohen[rank]).to01() for rank in sorted(p.cohen)},
+        "cohen": {str(rank): "".join(map(str, p.cohen[rank])) for rank in sorted(p.cohen)},
         "coords": {
             b: {"t": list(p.coords[b].t), "name": descriptor(p.coords[b].name)}
             for b in sorted(p.coords)

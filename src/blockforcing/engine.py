@@ -112,8 +112,8 @@ def start_condition(rp):
     ranks = sorted({rp.ranks[x] for x in elements})
     return Condition(
         support=frozenset(elements),
-        cohen={r: BitSeq() for r in ranks},
-        coords={b: CoordPart(IncSeq(), GroundName(0, 1)) for b in elements},
+        cohen={r: () for r in ranks},
+        coords={b: CoordPart((), GroundName(0, 1)) for b in elements},
     )
 
 
@@ -145,17 +145,6 @@ def _full_ladder(ws):
         ws.cascade(slices[rank])
 
 
-def ladder_extend(q, coords, rp):
-    """One cascade pass over coords, preceded by every lower rank slice."""
-    ws = workspace_of(q, rp, extend=True)
-    _ladder(ws, coords)
-    p = condition_of(ws, rp)
-    report = leq_check(p, q, rp)
-    if not report:
-        raise BlockForcingError(f"ladder produced a bad link: {report.violations}")
-    return p
-
-
 def _separate(ws, a, b, floor_n):
     """Record a gap in t_b that t_a can never meet again.
 
@@ -181,16 +170,6 @@ def _separate(ws, a, b, floor_n):
     up_to_a = set(order[: order.index(a) + 1])
     ws.cascade(up_to_a, floor=gap[1] + 1)
     return gap_index, gap
-
-
-def incomparability_extend(q, a, b, floor_n, rp):
-    ws = workspace_of(q, rp, extend=True)
-    _separate(ws, a, b, floor_n)
-    p = condition_of(ws, rp)
-    report = leq_check(p, q, rp)
-    if not report:
-        raise BlockForcingError(f"separation produced a bad link: {report.violations}")
-    return p
 
 
 def make_dominating_name(current, target):
@@ -325,12 +304,15 @@ def build_generic(rp, goals, resolution, seed=0):
 
 
 def extract_reals_from(cond):
+    """The derived reals of a run's final condition, validated once.
+
+    This is the one place a run's data becomes :class:`BitSeq` and
+    :class:`IncSeq`, so every bit and every t-value is checked here and
+    nowhere else.  That covers the whole chain: clauses 2 and 3 of the
+    per-link ``leq_check`` make every link's Cohen prefixes and
+    t-sequences prefixes of the next link's, hence of the final data.
+    """
     return DerivedReals(
-        cohen={r: cond.cohen[r] for r in sorted(cond.cohen)},
-        dominating={b: cond.coords[b].t for b in sorted(cond.coords)},
+        cohen={r: BitSeq(cond.cohen[r]) for r in sorted(cond.cohen)},
+        dominating={b: IncSeq(cond.coords[b].t) for b in sorted(cond.coords)},
     )
-
-
-def extract_reals(run):
-    """The union along the chain; with append-only links that is its last element."""
-    return extract_reals_from(run.chain[-1])

@@ -10,11 +10,6 @@ workspace carries.  Four families cover everything the engine needs:
   rank disagrees with the pattern
 - merge(left, right): the coarsest sequence each of whose blocks contains
   a whole block of each child
-
-Anything else can participate by exposing ``next_block(ws, lo)``
-returning the first determined block [B, E) with B >= lo, or None when
-the state (which it may grow through ``ws`` when ``ws.extend`` is set)
-cannot yet produce one.
 """
 
 from dataclasses import dataclass
@@ -68,7 +63,7 @@ def descriptor(nm):
         }
     if isinstance(nm, MergeName):
         return {"kind": "merge", "left": descriptor(nm.left), "right": descriptor(nm.right)}
-    return {"kind": "custom", "detail": repr(nm)}
+    raise ValueError(f"unknown name {nm!r}")
 
 
 def diagonal_ranks(nm):

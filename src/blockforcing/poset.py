@@ -8,7 +8,6 @@ relation ``x << y`` (strictly below in both order and rank) is what the
 condition and engine layers consume.
 """
 
-import heapq
 from dataclasses import dataclass
 
 from .errors import CycleError, NotCofinal, SpecError, UnknownElement
@@ -125,14 +124,6 @@ class RankedPoset:
             return frozenset(self.poset.elements)
         return frozenset(x for x in self.poset.elements if self.ll(x, b))
 
-    def same_rank_below(self, b):
-        """Elements strictly under ``b`` in the order but tied with it in rank."""
-        self.poset._check(b)
-        rb = self.ranks[b]
-        return frozenset(
-            x for x in self.poset.elements if self.poset.lt(x, b) and self.ranks[x] == rb
-        )
-
 
 def compute_ranks(poset, cofinal=None):
     """Rank every element against a cofinal set.
@@ -165,52 +156,6 @@ def compute_ranks(poset, cofinal=None):
 
     top_rank = 1 + max(heights.values()) if heights else 0
     return RankedPoset(poset=poset, cofinal=cof, ranks=ranks, top_rank=top_rank)
-
-
-def linear_extension_above(poset, c):
-    """A linear extension listing everything incomparable with ``c`` after it.
-
-    Kahn's algorithm driven by a heap: elements under ``c`` are always
-    preferred, then ``c`` itself, then the rest, with identifier order
-    breaking ties.  Whenever ``c`` is still pending, some element at or
-    below it is available, so nothing incomparable can jump the queue.
-    """
-    poset._check(c)
-
-    def prio(x):
-        if poset.lt(x, c):
-            return (0, x)
-        if x == c:
-            return (1, x)
-        return (2, x)
-
-    indeg = {x: 0 for x in poset.elements}
-    for _a, b in poset.pairs:
-        indeg[b] += 1
-
-    heap = [prio(x) for x in poset.elements if indeg[x] == 0]
-    heapq.heapify(heap)
-    out = []
-    while heap:
-        _p, x = heapq.heappop(heap)
-        out.append(x)
-        for a, b in poset.pairs:
-            if a == x:
-                indeg[b] -= 1
-                if indeg[b] == 0:
-                    heapq.heappush(heap, prio(b))
-    return out
-
-
-def has_strict_upper_bound(poset, subset):
-    """The least-named element strictly above all of ``subset``, or None."""
-    sub = frozenset(subset)
-    for x in sub:
-        poset._check(x)
-    for u in sorted(poset.elements):
-        if all(poset.lt(x, u) for x in sub):
-            return u
-    return None
 
 
 def restricted_linear_order(poset, coords):

@@ -100,12 +100,9 @@ class Workspace:
         not fit below some bound, no later block will.
         """
         self._depth += 1
-        if self._depth > _MAX_NAME_DEPTH:
-            self._depth = 0
-            raise CannotAdvance(
-                "name nesting exceeds the depth bound; a name may refer to itself"
-            )
         try:
+            if self._depth > _MAX_NAME_DEPTH:
+                raise CannotAdvance("name nesting exceeds the depth bound")
             if isinstance(nm, GroundName):
                 return self._next_ground(nm, lo)
             if isinstance(nm, CoordinateName):
@@ -114,10 +111,10 @@ class Workspace:
                 return self._next_diagonal(nm, lo)
             if isinstance(nm, MergeName):
                 return self._next_merge(nm, lo)
-            if hasattr(nm, "next_block"):
-                return nm.next_block(self, lo)
             raise CannotAdvance(f"unusable name {nm!r}")
         finally:
+            # Undo only this frame's increment, so an overflow leaves the
+            # counter where the outermost call found it.
             self._depth -= 1
 
     def _next_ground(self, nm, lo):
@@ -211,19 +208,21 @@ class Workspace:
         coords must lie in the support, share one rank, and be downward
         closed among that rank's support elements; the schedule then
         guarantees each new block at a later coordinate encloses a fresh
-        whole block of every earlier comparable one.
+        whole block of every earlier comparable one.  Raises ValueError
+        otherwise.
         """
         coords = set(coords)
-        assert coords and coords <= self.support
+        if not coords or not coords <= self.support:
+            raise ValueError(f"cascade set is empty or leaves the support: {sorted(coords)}")
         ranks = {self.rp.ranks[c] for c in coords}
-        assert len(ranks) == 1, f"mixed ranks in cascade: {sorted(coords)}"
+        if len(ranks) != 1:
+            raise ValueError(f"mixed ranks in cascade: {sorted(coords)}")
         rank = next(iter(ranks))
         poset = self.rp.poset
         for y in self.support:
             if self.rp.ranks[y] == rank and y not in coords:
-                assert not any(
-                    poset.lt(y, c) for c in coords
-                ), f"{y!r} sits below the cascade set but is not in it"
+                if any(poset.lt(y, c) for c in coords):
+                    raise ValueError(f"{y!r} sits below the cascade set but is not in it")
         order = restricted_linear_order(poset, coords)
         for idx in cascade_schedule(len(order)):
             self.append_t(order[idx], floor)

@@ -3,40 +3,38 @@
 import pytest
 
 from blockforcing import (
-    BitSeq,
     CannotAdvance,
-    Condition,
     CoordinateName,
-    CoordPart,
     DiagonalName,
-    EMPTY_CONDITION,
     GroundName,
     GroundReal,
     IncSeq,
     MergeName,
     Poset,
-    RefinementCertificate,
     Window,
     compute_ranks,
-    condition_of,
-    condition_to_json,
-    coordinate_elements,
-    descriptor,
-    diagonal_ranks,
     leq_check,
     refines_at,
-    resolve_name,
     restrict,
-    start_condition,
-    validate,
+)
+from blockforcing.conditions import (
+    Condition,
+    CoordPart,
+    RefinementCertificate,
+    condition_of,
+    condition_to_json,
     workspace_of,
 )
+from blockforcing.engine import start_condition
+from blockforcing.names import coordinate_elements, descriptor, diagonal_ranks
 from blockforcing.poset import TOP
+from blockforcing.resolution import Workspace
 
 
 V_RP = compute_ranks(Poset(["a", "b", "c"], [("a", "c"), ("b", "c")]))
 POINT_RP = compute_ranks(Poset(["b"]))
 ZEROS = GroundReal("zeros")
+EMPTY = Condition(frozenset(), {}, {})
 
 
 def _plain(support, cohen01, tvals, names=None):
@@ -44,11 +42,8 @@ def _plain(support, cohen01, tvals, names=None):
     names = names or {}
     return Condition(
         support=frozenset(support),
-        cohen={r: BitSeq.from01(s) for r, s in cohen01.items()},
-        coords={
-            b: CoordPart(IncSeq(tvals[b]), names.get(b, GroundName(0, 1)))
-            for b in support
-        },
+        cohen={r: tuple(int(ch) for ch in s) for r, s in cohen01.items()},
+        coords={b: CoordPart(tuple(tvals[b]), names.get(b, GroundName(0, 1))) for b in support},
     )
 
 
@@ -77,7 +72,8 @@ def test_descriptor_tags():
         "seed": 7,
         "rank": 1,
     }
-    assert descriptor(object())["kind"] == "custom"
+    with pytest.raises(ValueError):
+        descriptor(object())
 
 
 def test_name_introspection():
@@ -104,7 +100,7 @@ def test_certificates():
         RefinementCertificate(old, old, "by-decree")
 
 
-# -- restrict / validate --
+# -- restrict --
 
 
 def test_restrict_cuts_to_the_lower_cone():
@@ -113,40 +109,8 @@ def test_restrict_cuts_to_the_lower_cone():
     assert below_c.support == {"a", "b"}
     assert set(below_c.cohen) == {0}
     assert set(below_c.coords) == {"a", "b"}
-    assert restrict(p, "a", V_RP) == EMPTY_CONDITION
+    assert restrict(p, "a", V_RP) == EMPTY
     assert restrict(p, TOP, V_RP) == p
-
-
-def test_validate_accepts_and_rejects():
-    p = _plain({"a", "b"}, {0: "0"}, {"a": (1,), "b": (2,)})
-    assert validate(p, V_RP, "c")
-    assert validate(p, V_RP, TOP)
-
-    stray = validate(_plain({"c"}, {1: ""}, {"c": ()}), V_RP, "c")
-    assert not stray and "outside the ambient cone" in stray.problems[0]
-
-    missing_coord = Condition(frozenset({"a"}), {0: BitSeq(())}, {})
-    report = validate(missing_coord, V_RP, TOP)
-    assert any("keyed exactly by the support" in m for m in report.problems)
-
-    wrong_cohen = _plain({"a"}, {1: ""}, {"a": ()})
-    assert not validate(wrong_cohen, V_RP, TOP)
-
-    # raw tuples stand in for sequences so the shape check itself is exercised
-    bad_t = Condition(
-        frozenset({"a"}),
-        {0: BitSeq(())},
-        {"a": CoordPart((3, 2), GroundName(0, 1))},
-    )
-    report = validate(bad_t, V_RP, TOP)
-    assert any("strictly increasing" in m for m in report.problems)
-
-
-def test_restriction_of_valid_stays_valid():
-    p = _plain({"a", "b", "c"}, {0: "01", 1: "1"}, {"a": (1,), "b": (2,), "c": (3,)})
-    assert validate(p, V_RP, TOP)
-    for b in ("a", "b", "c", TOP):
-        assert validate(restrict(p, b, V_RP), V_RP, b)
 
 
 # -- the extension order, clause by clause --
@@ -155,8 +119,8 @@ def test_restriction_of_valid_stays_valid():
 def test_leq_reflexive_and_empty():
     p = _plain({"a", "b"}, {0: "10"}, {"a": (1, 4), "b": (2,)})
     assert leq_check(p, p, V_RP)
-    assert leq_check(p, EMPTY_CONDITION, V_RP)
-    report = leq_check(EMPTY_CONDITION, p, V_RP)
+    assert leq_check(p, EMPTY, V_RP)
+    report = leq_check(EMPTY, p, V_RP)
     assert not report
     assert {v.clause for v in report.violations} == {"1", "2"}
 
@@ -255,26 +219,43 @@ def test_leq_ignores_unrelated_growth():
     assert leq_check(p, q, V_RP)
 
 
-# -- resolving names into prefixes --
+# -- walking names off a workspace --
+
+
+def _walk(ws, nm, target_len):
+    """The first target_len values of nm's sequence, read block by block."""
+    block = ws.next_block(nm, 0)
+    prefix = [block[0], block[1]]
+    while len(prefix) < target_len:
+        block = ws.next_block(nm, prefix[-1])
+        if block[0] == prefix[-1]:
+            prefix.append(block[1])
+        else:
+            prefix.extend(block)
+    return prefix
+
+
+def _empty_ws(rp=POINT_RP):
+    return Workspace(rp, (), {}, {}, {})
 
 
 def test_resolve_ground_is_pure():
-    cond, cohen, prefix = resolve_name(GroundName(0, 1), EMPTY_CONDITION, BitSeq(()), 5, POINT_RP)
-    assert tuple(prefix) == (0, 1, 2, 3, 4)
-    assert cond == EMPTY_CONDITION
-    assert cohen == BitSeq(())
+    ws = _empty_ws()
+    assert _walk(ws, GroundName(0, 1), 5) == [0, 1, 2, 3, 4]
+    assert condition_of(ws, POINT_RP) == EMPTY
+    assert ws.cohen == {}
 
 
 def test_resolve_diagonal_flips_the_pattern():
-    cond, cohen, prefix = resolve_name(DiagonalName(ZEROS, 0), EMPTY_CONDITION, BitSeq(()), 3, POINT_RP)
-    assert tuple(prefix) == (0, 1, 2)
-    assert cohen.to01() == "111"
-    assert cond == EMPTY_CONDITION
+    ws = _empty_ws()
+    assert _walk(ws, DiagonalName(ZEROS, 0), 3) == [0, 1, 2]
+    assert ws.cohen == {0: [1, 1, 1]}
+    assert ws.t == {} and ws.support == set()
 
 
 def test_resolve_merge_covers_both_children():
     left, right = GroundName(0, 2), GroundName(0, 3)
-    _, _, prefix = resolve_name(MergeName(left, right), EMPTY_CONDITION, BitSeq(()), 3, POINT_RP)
+    prefix = IncSeq(_walk(_empty_ws(), MergeName(left, right), 3))
     assert tuple(prefix) == (0, 3, 6)
     w = Window(0, prefix.last)
     assert refines_at(IncSeq((0, 2, 4, 6)), prefix, w) == set()
@@ -283,34 +264,29 @@ def test_resolve_merge_covers_both_children():
 
 def test_resolve_coordinate_ladders_the_condition():
     rp = compute_ranks(Poset(["a"]))
-    below = start_condition(rp)
-    cond, _, prefix = resolve_name(CoordinateName("a"), below, BitSeq(()), 3, rp)
-    assert tuple(prefix) == (1, 2, 3)
-    assert tuple(cond.coords["a"].t) == (1, 2, 3)
+    ws = workspace_of(start_condition(rp), rp)
+    assert _walk(ws, CoordinateName("a"), 3) == [1, 2, 3]
+    assert condition_of(ws, rp).coords["a"].t == (1, 2, 3)
 
 
 def test_resolve_prefix_stability():
     for nm in (GroundName(2, 3), MergeName(GroundName(0, 2), GroundName(1, 4)),
                DiagonalName(GroundReal("periodic:01"), 0)):
-        _, _, short = resolve_name(nm, EMPTY_CONDITION, BitSeq(()), 4, POINT_RP)
-        _, _, long = resolve_name(nm, EMPTY_CONDITION, BitSeq(()), 9, POINT_RP)
-        assert tuple(long)[: len(tuple(short))] == tuple(short)
+        short = _walk(_empty_ws(), nm, 4)
+        long = _walk(_empty_ws(), nm, 9)
+        assert long[: len(short)] == short
 
 
-def test_resolve_rejects_mixed_rank_tags():
-    nm = MergeName(DiagonalName(ZEROS, 0), DiagonalName(ZEROS, 1))
-    with pytest.raises(ValueError):
-        resolve_name(nm, EMPTY_CONDITION, BitSeq(()), 3, POINT_RP)
-
-
-def test_self_referential_name_is_rejected():
-    class Loop:
-        def next_block(self, ws, lo):
-            return ws.next_block(self, lo)
-
-    ws = workspace_of(EMPTY_CONDITION, POINT_RP)
-    with pytest.raises(CannotAdvance):
-        ws.next_block(Loop(), 0)
+def test_name_depth_guard_holds_after_overflow():
+    # Every call past the bound must fail, not just the first: an
+    # overflow may not leave the depth counter below where it started.
+    nm = GroundName(0, 1)
+    for _ in range(65):
+        nm = MergeName(nm, GroundName(0, 1))
+    ws = _empty_ws()
+    for _ in range(2):
+        with pytest.raises(CannotAdvance):
+            ws.next_block(nm, 0)
 
 
 # -- serialization --

@@ -3,7 +3,6 @@
 import pytest
 
 from blockforcing import (
-    BlockForcingError,
     CohenDisagreeGoal,
     CoordinateName,
     DiagonalName,
@@ -18,17 +17,13 @@ from blockforcing import (
     ResolutionExhausted,
     UnknownElement,
     build_generic,
-    cascade_schedule,
     compute_ranks,
-    extract_reals,
-    extract_reals_from,
     goal_descriptor,
-    incomparability_extend,
-    ladder_extend,
     leq_check,
-    start_condition,
-    workspace_of,
 )
+from blockforcing.conditions import condition_of, workspace_of
+from blockforcing.engine import _ladder, _separate, extract_reals_from, start_condition
+from blockforcing.resolution import cascade_schedule
 from conftest import assert_chain_sound, random_poset
 
 
@@ -65,69 +60,76 @@ def test_single_cascade_frozen_values():
 
 def test_cascade_rejects_bad_sets():
     ws = workspace_of(start_condition(V_RP), V_RP)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         ws.cascade({"a", "c"})  # mixed ranks
     tied = workspace_of(start_condition(TIED_CHAIN), TIED_CHAIN)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         tied.cascade({"b"})  # a sits below b at the same rank, not included
+    assert tied.t == {"a": [], "b": []}
+
+
+def _start_ws(rp):
+    return workspace_of(start_condition(rp), rp)
 
 
 def test_ladder_extend_single_coordinate():
     q = start_condition(POINT)
-    p1 = ladder_extend(q, {"a"}, POINT)
-    assert tuple(p1.coords["a"].t) == (1,)
-    p2 = ladder_extend(p1, {"a"}, POINT)
-    assert tuple(p2.coords["a"].t) == (1, 2)
-    assert leq_check(p2, q, POINT)
+    ws = workspace_of(q, POINT)
+    _ladder(ws, {"a"})
+    assert ws.t["a"] == [1]
+    _ladder(ws, {"a"})
+    assert ws.t["a"] == [1, 2]
+    assert leq_check(condition_of(ws, POINT), q, POINT)
 
 
 def test_ladder_runs_lower_ranks_first():
-    q = start_condition(V_RP)
-    p = ladder_extend(q, {"c"}, V_RP)
+    ws = _start_ws(V_RP)
+    _ladder(ws, {"c"})
     # the rank-0 slice cascaded once, then c landed above everything
-    assert tuple(p.coords["a"].t) == (1, 2)
-    assert tuple(p.coords["b"].t) == (3,)
-    assert tuple(p.coords["c"].t) == (4,)
+    assert ws.t == {"a": [1, 2], "b": [3], "c": [4]}
 
 
 def test_ladder_rejects_mixed_ranks():
     with pytest.raises(ValueError):
-        ladder_extend(start_condition(V_RP), {"a", "c"}, V_RP)
+        _ladder(_start_ws(V_RP), {"a", "c"})
 
 
 def test_ladder_extend_random_posets():
     for seed in range(12):
         rp = compute_ranks(random_poset(seed))
         q = start_condition(rp)
+        ws = workspace_of(q, rp)
         slices = {}
         for x in sorted(rp.poset.elements):
             slices.setdefault(rp.ranks[x], []).append(x)
-        p = q
+        prev = q
         for rank in sorted(slices):
-            p = ladder_extend(p, set(slices[rank]), rp)
-        assert leq_check(p, q, rp)
+            _ladder(ws, set(slices[rank]))
+            p = condition_of(ws, rp)
+            assert leq_check(p, prev, rp)
+            prev = p
+        assert leq_check(prev, q, rp)
 
 
 def test_separation_frozen_two_antichain():
     q = start_condition(ANTI_2)
-    p = incomparability_extend(q, "a", "b", 0, ANTI_2)
-    assert tuple(p.coords["b"].t) == (1, 2)
-    assert tuple(p.coords["a"].t) == (3,)
-    assert leq_check(p, q, ANTI_2)
+    ws = workspace_of(q, ANTI_2)
+    assert _separate(ws, "a", "b", 0) == (0, (1, 2))
+    assert ws.t == {"a": [3], "b": [1, 2]}
+    assert leq_check(condition_of(ws, ANTI_2), q, ANTI_2)
 
 
 def test_separation_honors_floor():
-    q = start_condition(ANTI_2)
-    p = incomparability_extend(q, "a", "b", 3, ANTI_2)
-    assert tuple(p.coords["b"].t) == (1, 2, 3, 4, 5)
-    assert tuple(p.coords["a"].t) == (6,)
+    ws = _start_ws(ANTI_2)
+    _separate(ws, "a", "b", 3)
+    assert ws.t == {"a": [6], "b": [1, 2, 3, 4, 5]}
 
 
 def test_separation_rejects_comparable():
     with pytest.raises(NotIncomparable):
-        incomparability_extend(start_condition(V_RP), "a", "c", 0, V_RP)
+        _separate(_start_ws(V_RP), "a", "c", 0)
     with pytest.raises(NotIncomparable):
-        incomparability_extend(start_condition(V_RP), "a", "a", 0, V_RP)
+        _separate(_start_ws(V_RP), "a", "a", 0)
 
 
 def test_chained_separations_frozen():
@@ -210,7 +212,6 @@ def test_runs_are_deterministic():
     assert first.chain == second.chain
     assert first.ledger == second.ledger
     assert first.derived == second.derived
-    assert extract_reals(first) == first.derived
     assert extract_reals_from(first.chain[-1]) == first.derived
     assert_chain_sound(first)
 

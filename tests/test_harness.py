@@ -29,11 +29,11 @@ from blockforcing import (
     load_scenario,
     remark_counterexamples,
     render_report,
-    report_json,
     run_scenario,
     tiny_subset_check,
 )
 from blockforcing.cli import main
+from blockforcing.harness import report_json
 from conftest import assert_chain_sound
 
 
@@ -352,6 +352,14 @@ def test_cli_rejects_malformed_input(tmp_path, capsys):
     odd.write_text(json.dumps({"poset": V_JSON, "mystery": True}))
     assert main(["run", str(odd)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_run_out_to_missing_directory(v_scenario_file, tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert main(["run", str(v_scenario_file), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write report") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_check_poset(tmp_path, capsys):

@@ -5,19 +5,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from blockforcing import (
-    TOP,
     CycleError,
     NotCofinal,
     Poset,
     SpecError,
     UnknownElement,
     compute_ranks,
-    dump_poset,
-    has_strict_upper_bound,
-    linear_extension_above,
     load_poset,
-    restricted_linear_order,
 )
+from blockforcing.poset import TOP, dump_poset, restricted_linear_order
 from conftest import random_poset
 
 
@@ -82,9 +78,7 @@ def test_strictly_below_relation():
     assert rp.ll("a", TOP) and rp.ll("c", TOP)
     assert rp.down_set("c") == {"a", "b"}
     assert rp.down_set(TOP) == {"a", "b", "c"}
-    assert rp.same_rank_below("c") == set()
     chain_rp = compute_ranks(Poset(["a", "b"], [("a", "b")]), {"b"})
-    assert chain_rp.same_rank_below("b") == {"a"}
     assert chain_rp.down_set("b") == set()  # tied rank, so not strictly below
     with pytest.raises(UnknownElement):
         rp.rank_of("ghost")
@@ -102,34 +96,6 @@ def test_relabeling_invariance():
         rp2 = compute_ranks(mirrored)
         assert rp2.ranks == {relabel[x]: r for x, r in rp.ranks.items()}
         assert rp2.top_rank == rp.top_rank
-
-
-def test_linear_extension_above():
-    for seed in range(60):
-        poset = random_poset(seed)
-        for c in sorted(poset.elements):
-            order = linear_extension_above(poset, c)
-            assert sorted(order) == sorted(poset.elements)
-            pos = {x: i for i, x in enumerate(order)}
-            for x, y in poset.pairs:
-                assert pos[x] < pos[y]
-            for x in poset.elements:
-                if x != c and not poset.comparable(x, c):
-                    assert pos[x] > pos[c]
-
-
-def test_has_strict_upper_bound():
-    assert has_strict_upper_bound(V, {"a", "b"}) == "c"
-    assert has_strict_upper_bound(V, {"a", "c"}) is None
-    # the empty set is bounded by the least-named element
-    assert has_strict_upper_bound(V, set()) == "a"
-    for seed in range(40):
-        poset = random_poset(seed)
-        elems = sorted(poset.elements)
-        sub = set(elems[::2])
-        u = has_strict_upper_bound(poset, sub)
-        uppers = [v for v in elems if all(poset.lt(x, v) for x in sub)]
-        assert u == (min(uppers) if uppers else None)
 
 
 def test_restricted_linear_order():
