@@ -62,15 +62,28 @@ def _load_json(path):
         raise SpecError(f"{path!r} is not valid JSON: {err}") from err
 
 
+def _is_int(value):
+    # JSON true/false arrive as bool, a subclass of int; neither they nor
+    # floats or numeric strings are operands, so nothing is coerced.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_ints(values, key):
+    for v in values:
+        if not _is_int(v):
+            raise SpecError(f'"{key}" must hold only integers, got {v!r}')
+
+
 def _bits(value, key):
     if isinstance(value, str):
         if any(ch not in "01" for ch in value):
             raise SpecError(f'"{key}" must be a 0/1 string or list, got {value!r}')
         return BitSeq.from01(value)
     if isinstance(value, list):
+        _require_ints(value, key)
         try:
             return BitSeq(value)
-        except (TypeError, ValueError) as err:
+        except ValueError as err:
             raise SpecError(f'"{key}" must hold only 0/1 entries: {err}') from err
     raise SpecError(f'"{key}" must be a 0/1 string or list, got {value!r}')
 
@@ -78,9 +91,10 @@ def _bits(value, key):
 def _seq(value, key):
     if not isinstance(value, list):
         raise SpecError(f'"{key}" must be a list of naturals, got {value!r}')
+    _require_ints(value, key)
     try:
         return IncSeq(value)
-    except (TypeError, ValueError) as err:
+    except ValueError as err:
         raise SpecError(f'"{key}" must be strictly increasing naturals: {err}') from err
 
 
@@ -91,9 +105,10 @@ def _window(value):
         start, limit = value["start"], value["limit"]
     else:
         raise SpecError(f'"window" must be [start, limit], got {value!r}')
+    _require_ints((start, limit), "window")
     try:
-        return Window(int(start), int(limit))
-    except (TypeError, ValueError) as err:
+        return Window(start, limit)
+    except ValueError as err:
         raise SpecError(f"bad window: {err}") from err
 
 
@@ -159,7 +174,7 @@ def _cmd_oracle(args):
         print(json.dumps({"violations": sorted(out)}))
     elif args.op == "e_member":
         m = _field(obj, "m")
-        if not isinstance(m, int) or isinstance(m, bool) or m < 0:
+        if not _is_int(m) or m < 0:
             raise SpecError(f'"m" must be a natural number, got {m!r}')
         out = e_member(
             _bits(_field(obj, "z"), "z"),
@@ -180,7 +195,7 @@ def _cmd_oracle(args):
         print(json.dumps({"witness": out.to01()}))
     else:
         bound = _field(obj, "bound")
-        if not isinstance(bound, int) or isinstance(bound, bool):
+        if not _is_int(bound):
             raise SpecError(f'"bound" must be an integer, got {bound!r}')
         try:
             pointwise_only, refining_only = remark_counterexamples(bound)

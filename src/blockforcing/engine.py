@@ -151,9 +151,11 @@ def _separate(ws, a, b, floor_n):
     Phase one grows t_b (through its same-rank cone) far enough to expose
     gap number max(floor_n, current length) while leaving t_a untouched;
     a cannot sit in that cone, or it would be below b.  Phase two runs
-    the cascade over a's cone only as far as a itself, floored past the
-    gap's right end, so t_a gains exactly one value there and every later
-    value anywhere is larger still.  The gap stays clean forever.
+    the cascade, floored past the gap's right end, over a's same-rank
+    group: the prefix of its linear order up to a is the whole group,
+    since a is its maximum.  a is alone on the group's top level, so t_a
+    gains exactly one value there and every later value anywhere is
+    larger still.  The gap stays clean forever.
     """
     poset = ws.rp.poset
     ws.ensure_coordinate(a)

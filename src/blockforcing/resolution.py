@@ -13,6 +13,11 @@ a statement is only forced when the data already decides it.
 All block queries are prefix-stable: growing the state never changes an
 answer already given, it only turns None into a block.  That is what
 makes the per-name walk caches safe to keep across a whole run.
+
+Same-rank coordinates grow together through the cascade.  It groups a
+downward-closed same-rank set into height levels and runs the binary
+carry schedule over the levels, so its cost follows the longest chain
+inside the set: a same-rank antichain gains one value per member.
 """
 
 from bisect import bisect_left
@@ -27,11 +32,11 @@ _NO_BITS = ()
 
 
 def cascade_schedule(n):
-    """Append order for n coordinates, earliest first.
+    """Append order for n height levels, earliest first.
 
-    Position k enters only after position k-1 produced two fresh values,
-    the same carry pattern binary counting follows: schedule(3) is
-    [0, 0, 1, 0, 0, 1, 2].
+    Level k enters only after level k-1 produced two fresh values, the
+    same carry pattern binary counting follows: schedule(3) is
+    [0, 0, 1, 0, 0, 1, 2].  Level k fires 2^(n-1-k) times.
     """
     if n < 1:
         raise ValueError(f"need at least one coordinate, got {n}")
@@ -206,10 +211,20 @@ class Workspace:
         """Extend every coordinate in coords following the carry schedule.
 
         coords must lie in the support, share one rank, and be downward
-        closed among that rank's support elements; the schedule then
-        guarantees each new block at a later coordinate encloses a fresh
-        whole block of every earlier comparable one.  Raises ValueError
+        closed among that rank's support elements.  Raises ValueError
         otherwise.
+
+        The schedule runs over height levels: a member is at level 0 when
+        no member lies below it, else one above the highest level below
+        it.  When a level's turn comes, each of its members appends once,
+        in sorted order.  That is clause 4 of the extension order: take
+        b < c in coords, so b's level is lower than c's.  Before a level's
+        first turn, and between two of its turns, every lower level
+        appends at least twice; each append lands above every value
+        written so far.  So each new gap of t_c, including the one opened
+        from a value written by an earlier call, holds two fresh values
+        of t_b, a whole block of b.  Incomparable members need nothing of
+        each other, and share a level's turn.
         """
         coords = set(coords)
         if not coords or not coords <= self.support:
@@ -223,6 +238,16 @@ class Workspace:
             if self.rp.ranks[y] == rank and y not in coords:
                 if any(poset.lt(y, c) for c in coords):
                     raise ValueError(f"{y!r} sits below the cascade set but is not in it")
-        order = restricted_linear_order(poset, coords)
-        for idx in cascade_schedule(len(order)):
-            self.append_t(order[idx], floor)
+        # A linear extension lists everything below x before x, so one
+        # pass settles every level.
+        level, levels = {}, []
+        for x in restricted_linear_order(poset, coords):
+            k = level[x] = max([level[y] + 1 for y in level if poset.lt(y, x)], default=0)
+            if k == len(levels):
+                levels.append([])
+            levels[k].append(x)
+        for members in levels:
+            members.sort()
+        for idx in cascade_schedule(len(levels)):
+            for x in levels[idx]:
+                self.append_t(x, floor)

@@ -1,6 +1,8 @@
 """The goal-driven engine: cascades, separations, verified chains."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockforcing import (
     CohenDisagreeGoal,
@@ -15,14 +17,22 @@ from blockforcing import (
     NotIncomparable,
     Poset,
     ResolutionExhausted,
+    Scenario,
     UnknownElement,
     build_generic,
     compute_ranks,
     goal_descriptor,
     leq_check,
+    run_scenario,
 )
 from blockforcing.conditions import condition_of, workspace_of
-from blockforcing.engine import _ladder, _separate, extract_reals_from, start_condition
+from blockforcing.engine import (
+    _full_ladder,
+    _ladder,
+    _separate,
+    extract_reals_from,
+    start_condition,
+)
 from blockforcing.resolution import cascade_schedule
 from conftest import assert_chain_sound, random_poset
 
@@ -33,6 +43,10 @@ CHAIN_2 = compute_ranks(Poset(["a", "b"], [("a", "b")]))
 TIED_CHAIN = compute_ranks(Poset(["a", "b"], [("a", "b")]), {"b"})
 V_RP = compute_ranks(Poset(["a", "b", "c"], [("a", "c"), ("b", "c")]))
 POINT = compute_ranks(Poset(["a"]))
+# one rank: only w is cofinal, so the whole diamond ties at rank 0
+DIAMOND = compute_ranks(
+    Poset(["w", "x", "y", "z"], [("x", "y"), ("x", "z"), ("y", "w"), ("z", "w")]), {"w"}
+)
 
 
 def test_cascade_schedule_frozen():
@@ -54,8 +68,67 @@ def test_cascade_schedule_carry_counts():
 def test_single_cascade_frozen_values():
     ws = workspace_of(start_condition(ANTI_3), ANTI_3)
     ws.cascade({"x", "y", "z"})
-    assert ws.t == {"x": [1, 2, 4, 5], "y": [3, 6], "z": [7]}
-    assert ws.max_value == 7
+    # an antichain is one height level: one value per member, sorted order
+    assert ws.t == {"x": [1], "y": [2], "z": [3]}
+    assert ws.max_value == 3
+
+
+def test_cascade_over_diamond_levels():
+    q = start_condition(DIAMOND)
+    ws = workspace_of(q, DIAMOND)
+    ws.cascade({"w", "x", "y", "z"})
+    # levels x | y, z | w run the schedule [0, 0, 1, 0, 0, 1, 2]
+    assert ws.t == {"x": [1, 2, 5, 6], "y": [3, 7], "z": [4, 8], "w": [9]}
+    first = condition_of(ws, DIAMOND)
+    assert leq_check(first, q, DIAMOND)
+    ws.cascade({"w", "x", "y", "z"})
+    assert {b: len(v) for b, v in ws.t.items()} == {"x": 8, "y": 4, "z": 4, "w": 2}
+    # w's second gap [9, 18) is the first one clause 4 tests for w
+    assert ws.t["w"] == [9, 18]
+    assert leq_check(condition_of(ws, DIAMOND), first, DIAMOND)
+
+
+def _height_levels(rp, members):
+    # reference: longest chain below x inside its own rank slice
+    def height(x):
+        below = [height(y) for y in members if rp.ranks[y] == rp.ranks[x] and rp.poset.lt(y, x)]
+        return 1 + max(below, default=-1)
+
+    return {x: height(x) for x in members}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_level_cascade_property(seed):
+    poset = random_poset(seed)
+    rp = compute_ranks(poset, poset.maximal_elements())
+    level = _height_levels(rp, poset.elements)
+    levels_at = {
+        r: 1 + max(level[x] for x in poset.elements if rp.ranks[x] == r)
+        for r in set(rp.ranks.values())
+    }
+    prev = start_condition(rp)
+    ws = workspace_of(prev, rp)
+    for _ in range(3):
+        before = {b: len(v) for b, v in ws.t.items()}
+        _full_ladder(ws)
+        for x in poset.elements:
+            gained = len(ws.t[x]) - before[x]
+            assert gained == 2 ** (levels_at[rp.ranks[x]] - 1 - level[x])
+        p = condition_of(ws, rp)
+        report = leq_check(p, prev, rp)
+        assert report.ok, report.violations
+        prev = p
+
+
+def test_antichain_growth_is_polynomial():
+    for n in range(2, 9):
+        sc = Scenario.from_json({"poset": {"elements": [f"e{i}" for i in range(n)]}})
+        run, iso, cov = run_scenario(sc)
+        assert iso.ok and cov.ok
+        assert max(seq.values[-1] for seq in run.derived.dominating.values()) == 3 * n * (3 * n + 1)
+        # the start, 12 ladder links, then 3 separations per ordered pair
+        assert len(run.chain) == 3 * n * (n - 1) + 13
 
 
 def test_cascade_rejects_bad_sets():
@@ -86,7 +159,7 @@ def test_ladder_runs_lower_ranks_first():
     ws = _start_ws(V_RP)
     _ladder(ws, {"c"})
     # the rank-0 slice cascaded once, then c landed above everything
-    assert ws.t == {"a": [1, 2], "b": [3], "c": [4]}
+    assert ws.t == {"a": [1], "b": [2], "c": [3]}
 
 
 def test_ladder_rejects_mixed_ranks():
@@ -186,9 +259,10 @@ def test_cohen_disagree_goals():
 def test_length_goals_can_come_for_free():
     goals = [LengthGoal("x", 2), LengthGoal("y", 1)]
     run = build_generic(ANTI_3, goals, 64)
-    assert len(run.chain) == 2  # one ladder step served both
-    assert [(e.goal_index, e.met_at) for e in run.ledger] == [(0, 1), (1, 1)]
-    assert run.ledger[1].info == {"length": 2}
+    # the first ladder step met y's goal on the way to x's second value
+    assert len(run.chain) == 3
+    assert [(e.goal_index, e.met_at) for e in run.ledger] == [(1, 1), (0, 2)]
+    assert run.ledger[0].info == {"length": 1}
 
 
 def test_budget_exhaustion_lists_unmet_goals():

@@ -34,7 +34,7 @@ from blockforcing import (
 )
 from blockforcing.cli import main
 from blockforcing.harness import report_json
-from conftest import assert_chain_sound
+from conftest import assert_chain_sound, random_poset
 
 
 V_POSET = Poset(["a", "b", "c"], [("a", "c"), ("b", "c")])
@@ -180,6 +180,22 @@ def test_tied_chain_routes_and_variant():
     assert above["evidence"]["route"] == "recorded-blocks"
     assert iso.variant_undetermined == (("a", "b"),)
     assert_chain_sound(run)
+
+
+def test_same_rank_comparabilities_end_to_end():
+    # cofinal = maximal elements puts comparable pairs at one rank, so
+    # their inclusions ride the cascade rather than a name swap
+    for seed in range(20):
+        poset = random_poset(seed)
+        sc = Scenario(
+            poset=poset,
+            cofinal=poset.maximal_elements(),
+            seed=seed,
+            ground_reals=("zeros", "seeded-random:1"),
+        )
+        run, iso, cov = run_scenario(sc)
+        assert iso.ok and cov.ok, seed
+        assert_chain_sound(run)
 
 
 def test_antichain_matrix_and_shared_cohen():
@@ -375,6 +391,27 @@ def test_cli_check_poset(tmp_path, capsys):
     thin = tmp_path / "thin.json"
     thin.write_text(json.dumps({"elements": ["a", "b"], "cofinal_set": ["b"]}))
     assert main(["check-poset", str(thin)]) == 2
+
+
+@pytest.mark.parametrize(
+    "op, payload",
+    [
+        ("refines_at", {"f": [0, 2.7, 4], "g": [0, 1, 4], "window": [0, 4]}),
+        ("refines_at", {"f": [0, 2, 4], "g": [0, "1", 4], "window": [0, 4]}),
+        ("refines_at", {"f": [0, 2, 4], "g": [0, 1, 4], "window": [True, "4"]}),
+        ("refines_at", {"f": [0, 2, 4], "g": [0, 1, 4], "window": {"start": 0, "limit": 4.0}}),
+        ("e_member", {"z": [0, True], "x": "00", "f": [0, 2], "m": 0, "window": [0, 2]}),
+        ("e_member", {"z": "01", "x": [0, 1.0], "f": [0, 2], "m": 0, "window": [0, 2]}),
+    ],
+    ids=["seq-float", "seq-string", "window-list", "window-object", "bits-bool", "bits-float"],
+)
+def test_cli_oracle_rejects_coercible_operands(op, payload, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    assert main(["oracle", op, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_cli_oracle_ops(tmp_path, capsys):
