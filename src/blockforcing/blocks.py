@@ -58,9 +58,6 @@ class IncSeq:
         for i in range(len(self.values) - 1):
             yield self.values[i], self.values[i + 1]
 
-    def extended(self, more):
-        return IncSeq(self.values + tuple(more))
-
 
 @dataclass(frozen=True, init=False)
 class BitSeq:

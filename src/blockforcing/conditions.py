@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import CannotAdvance
-from .names import MergeName, descriptor
+from .names import MergeName
 from .resolution import Workspace
 
 
@@ -49,23 +49,16 @@ class Condition:
 class RefinementCertificate:
     """Evidence that new_name only coarsens old_name.
 
-    Either the names are equal, or new_name is a merge whose left child
-    is old_name, so every resolved merge block contains an old block.
+    new_name is a merge whose left child is old_name, so every resolved
+    merge block contains an old block.
     """
 
     old_name: object
     new_name: object
-    kind: str
 
     def __post_init__(self):
-        if self.kind == "identical":
-            if self.old_name != self.new_name:
-                raise ValueError("identical certificate over distinct names")
-        elif self.kind == "merge-coarsening":
-            if not isinstance(self.new_name, MergeName) or self.new_name.left != self.old_name:
-                raise ValueError("merge-coarsening certificate must wrap the old name as left child")
-        else:
-            raise ValueError(f"unknown certificate kind {self.kind!r}")
+        if not isinstance(self.new_name, MergeName) or self.new_name.left != self.old_name:
+            raise ValueError("merge-coarsening certificate must wrap the old name as left child")
 
 
 @dataclass(frozen=True)
@@ -99,7 +92,6 @@ def restrict(p, b, rp):
 def workspace_of(cond, rp, extend=True, caches=None):
     return Workspace(
         rp,
-        cond.support,
         cond.cohen,
         {b: part.t for b, part in cond.coords.items()},
         {b: part.name for b, part in cond.coords.items()},
@@ -213,13 +205,3 @@ def leq_check(p, q, rp, certs=frozenset(), cache=None):
 
     return LeqReport(not violations, tuple(violations))
 
-
-def condition_to_json(p):
-    return {
-        "support": sorted(p.support),
-        "cohen": {str(rank): "".join(map(str, p.cohen[rank])) for rank in sorted(p.cohen)},
-        "coords": {
-            b: {"t": list(p.coords[b].t), "name": descriptor(p.coords[b].name)}
-            for b in sorted(p.coords)
-        },
-    }

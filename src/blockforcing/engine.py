@@ -28,6 +28,7 @@ from .names import (
     descriptor,
     diagonal_ranks,
 )
+# Not called here: perfbench/tracing.py counts calls through this name, so it stays bound.
 from .poset import restricted_linear_order
 
 
@@ -117,66 +118,41 @@ def start_condition(rp):
     )
 
 
-def _rank_slices(ws):
-    slices = {}
-    for y in sorted(ws.support):
-        slices.setdefault(ws.rp.ranks[y], []).append(y)
-    return slices
+def _ladder(ws, up_to=None):
+    """Cascade every rank up to ``up_to`` (all of them by default).
 
-
-def _ladder(ws, coords):
-    # Lower ranks first, mirroring the inductive structure: a name at the
-    # target rank may read (and further extend) what lower cascades wrote.
-    coords = set(coords)
-    target_ranks = {ws.rp.ranks[c] for c in coords}
-    if len(target_ranks) != 1:
-        raise ValueError(f"ladder coordinates must share one rank, got {sorted(coords)}")
-    target_rank = next(iter(target_ranks))
-    slices = _rank_slices(ws)
-    for rank in sorted(slices):
-        if rank < target_rank:
-            ws.cascade(slices[rank])
-    ws.cascade(coords)
-
-
-def _full_ladder(ws):
-    slices = _rank_slices(ws)
-    for rank in sorted(slices):
-        ws.cascade(slices[rank])
+    Lower ranks go first, mirroring the inductive structure: a name at a
+    higher rank may read (and further extend) what lower cascades wrote.
+    """
+    for rank in sorted({ws.rp.ranks[y] for y in ws.support}):
+        if up_to is None or rank <= up_to:
+            ws.cascade(rank)
 
 
 def _separate(ws, a, b, floor_n):
     """Record a gap in t_b that t_a can never meet again.
 
-    Phase one grows t_b (through its same-rank cone) far enough to expose
-    gap number max(floor_n, current length) while leaving t_a untouched;
-    a cannot sit in that cone, or it would be below b.  Phase two runs
-    the cascade, floored past the gap's right end, over a's same-rank
-    group: the prefix of its linear order up to a is the whole group,
-    since a is its maximum.  a is alone on the group's top level, so t_a
-    gains exactly one value there and every later value anywhere is
-    larger still.  The gap stays clean forever.
+    Phase one grows t_b (through its same-rank down-set) far enough to
+    expose gap number max(floor_n, current length) while leaving t_a
+    untouched; a cannot sit in that down-set, or it would be below b.
+    Phase two runs a's cascade, floored past the gap's right end.  a is
+    alone on the top level of its down-set, so t_a gains exactly one
+    value there and every later value anywhere is larger still.  The gap
+    stays clean forever.
     """
-    poset = ws.rp.poset
-    ws.ensure_coordinate(a)
-    ws.ensure_coordinate(b)
-    if poset.leq(a, b):
+    if ws.rp.poset.leq(a, b):
         raise NotIncomparable(f"{a!r} <= {b!r}, nothing to separate")
     gap_index = max(floor_n, len(ws.t[b]))
-    group_b = ws.same_rank_group(b)
     while len(ws.t[b]) < gap_index + 2:
-        ws.cascade(group_b)
+        ws.cascade(ws.rp.rank_of(b), top=b)
     gap = (ws.t[b][gap_index], ws.t[b][gap_index + 1])
-
-    order = restricted_linear_order(poset, ws.same_rank_group(a))
-    up_to_a = set(order[: order.index(a) + 1])
-    ws.cascade(up_to_a, floor=gap[1] + 1)
+    ws.cascade(ws.rp.rank_of(a), top=a, floor=gap[1] + 1)
     return gap_index, gap
 
 
 def make_dominating_name(current, target):
     merged = MergeName(current, target)
-    return merged, RefinementCertificate(current, merged, "merge-coarsening")
+    return merged, RefinementCertificate(current, merged)
 
 
 def _validate_goals(rp, goals):
@@ -256,7 +232,7 @@ def build_generic(rp, goals, resolution, seed=0):
         goal = goals[i]
 
         if isinstance(goal, LengthGoal):
-            _full_ladder(ws)
+            _ladder(ws)
             done = len(ws.t[goal.elem]) >= goal.n
             info = {"length": len(ws.t[goal.elem])}
         elif isinstance(goal, CohenDisagreeGoal):
@@ -271,8 +247,7 @@ def build_generic(rp, goals, resolution, seed=0):
             ws.names[goal.elem] = merged
             certs.add(cert)
             swap_length = len(ws.t[goal.elem])
-            rank = rp.ranks[goal.elem]
-            _ladder(ws, {y for y in ws.support if rp.ranks[y] == rank})
+            _ladder(ws, up_to=rp.ranks[goal.elem])
             done = True
             info = {
                 "swap_length": swap_length,

@@ -13,7 +13,7 @@ layer, never the engine's own bookkeeping, so they would catch it lying.
 import json
 import os
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
 
 from .blocks import BitSeq, Window, e_member, non_subset_witness, refines_at
@@ -41,24 +41,14 @@ class GoalPlan:
     dominate_pairs: int = 1
 
     def __post_init__(self):
-        for name in (
-            "min_t_length",
-            "disagreements_per_real",
-            "violations_per_incomparable_pair",
-            "dominate_pairs",
-        ):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise SpecError(f"{name} must be a positive integer, got {v!r}")
+                raise SpecError(f"{f.name} must be a positive integer, got {v!r}")
 
 
 _SCENARIO_KEYS = {"poset", "resolution", "seed", "ground_reals", "plan", "question_variant"}
-_PLAN_KEYS = {
-    "min_t_length",
-    "disagreements_per_real",
-    "violations_per_incomparable_pair",
-    "dominate_pairs",
-}
+_PLAN_KEYS = {f.name for f in fields(GoalPlan)}
 
 
 def _require_int(obj, key, default, minimum):

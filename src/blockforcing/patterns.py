@@ -50,7 +50,8 @@ class GroundReal:
             return
         if kind.startswith("seeded-random:"):
             tag = kind[len("seeded-random:"):]
-            if not tag.isdigit():
+            # str.isdigit also admits superscripts and non-ASCII digits
+            if not (tag.isascii() and tag.isdigit()):
                 raise SpecError(f"seeded-random tag must be a number, got {tag!r}")
             return
         raise SpecError(f"unknown pattern spec {self.spec!r}")
@@ -69,7 +70,3 @@ class GroundReal:
         tag = int(self.spec[len("seeded-random:"):])
         mixed = _splitmix64(_splitmix64(self.seed & _MASK) ^ _splitmix64((tag << 32) ^ j))
         return mixed & 1
-
-    def prefix(self, n):
-        """The first ``n`` bits as a tuple."""
-        return tuple(self.bit(j) for j in range(n))

@@ -1,33 +1,15 @@
 """Finite strict posets, cofinal ranks, and the induced strict-below order.
 
-The rank machinery works on the order extended by an artificial top
-point: members of the cofinal set are ranked by their height inside that
-set, every other element borrows the smallest rank found strictly above
-it, and :data:`TOP` sits above everything at ``top_rank``.  The derived
-relation ``x << y`` (strictly below in both order and rank) is what the
+Members of the cofinal set are ranked by their height inside that set,
+every other element borrows the smallest rank found strictly above it,
+and ``top_rank`` is one past the highest rank.  The derived relation
+``x << y`` (strictly below in both order and rank) is what the
 condition and engine layers consume.
 """
 
 from dataclasses import dataclass
 
 from .errors import CycleError, NotCofinal, SpecError, UnknownElement
-
-
-class _Top:
-    """Sentinel standing above every poset element."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "TOP"
-
-
-TOP = _Top()
 
 
 @dataclass(frozen=True, init=False)
@@ -82,11 +64,6 @@ class Poset:
         self._check(y)
         return x == y or (x, y) in self.pairs
 
-    def comparable(self, x, y):
-        self._check(x)
-        self._check(y)
-        return x == y or (x, y) in self.pairs or (y, x) in self.pairs
-
     def maximal_elements(self):
         """Elements with nothing strictly above them."""
         tops = set(self.elements)
@@ -105,23 +82,16 @@ class RankedPoset:
     top_rank: int
 
     def rank_of(self, x):
-        if x is TOP:
-            return self.top_rank
         if x not in self.ranks:
             raise UnknownElement(f"{x!r} has no rank here")
         return self.ranks[x]
 
     def ll(self, x, y):
         """Whether ``x`` sits strictly below ``y`` in both order and rank."""
-        self.poset._check(x)
-        if y is TOP:
-            return True
         return self.poset.lt(x, y) and self.ranks[x] < self.ranks[y]
 
     def down_set(self, b):
         """Everything strictly below ``b`` in both senses."""
-        if b is TOP:
-            return frozenset(self.poset.elements)
         return frozenset(x for x in self.poset.elements if self.ll(x, b))
 
 

@@ -2,10 +2,12 @@
 
 A workspace is mutable scratch: one bit list per rank (Cohen prefixes),
 one value list per coordinate (the t-sequences), a name per coordinate,
-and the high-water mark over all written t-values.  It comes in two
-modes.  With ``extend=True`` a block query is allowed to grow the state
-(append Cohen bits, cascade lower coordinates) and whatever it grows is
-kept, so the block it certifies stays determined from then on.  With
+and the high-water mark over all written t-values.  The support is the
+set of coordinates t holds; no query adds one, so a coordinate name
+outside it reads None.  A workspace comes in two modes.  With
+``extend=True`` a block query is allowed to grow the state (append
+Cohen bits, cascade lower coordinates) and whatever it grows is kept,
+so the block it certifies stays determined from then on.  With
 ``extend=False`` queries answer from present data only and return None
 rather than speculate; that is the mode the order check runs in, since
 a statement is only forced when the data already decides it.
@@ -14,10 +16,13 @@ All block queries are prefix-stable: growing the state never changes an
 answer already given, it only turns None into a block.  That is what
 makes the per-name walk caches safe to keep across a whole run.
 
-Same-rank coordinates grow together through the cascade.  It groups a
-downward-closed same-rank set into height levels and runs the binary
-carry schedule over the levels, so its cost follows the longest chain
-inside the set: a same-rank antichain gains one value per member.
+Same-rank coordinates grow together through the cascade, the one place
+that decides which coordinates grow and in what order.  It grows a
+rank's whole support slice, or one member and the members below it
+there, running the binary carry schedule over height levels, so its
+cost follows the longest chain inside the slice: a same-rank antichain
+gains one value per member.  A rank's levels depend only on the order,
+so each workspace works them out once, on that rank's first cascade.
 """
 
 from bisect import bisect_left
@@ -47,9 +52,8 @@ def cascade_schedule(n):
 
 
 class Workspace:
-    def __init__(self, rp, support, cohen, t, names, extend=True, caches=None):
+    def __init__(self, rp, cohen, t, names, extend=True, caches=None):
         self.rp = rp
-        self.support = set(support)
         self.cohen = {rank: list(bits) for rank, bits in cohen.items()}
         self.t = {b: list(vals) for b, vals in t.items()}
         self.names = dict(names)
@@ -59,6 +63,12 @@ class Workspace:
         self._merge_walks = caches.setdefault("merge", {})
         self._diag = caches.setdefault("diag", {})
         self._depth = 0
+        self._levels = {}
+
+    @property
+    def support(self):
+        """The coordinates present: the keys of t."""
+        return self.t.keys()
 
     # -- primitive state access --
 
@@ -77,24 +87,6 @@ class Workspace:
                 positions.append(j)
         entry[0] = len(v)
         return positions
-
-    def ensure_coordinate(self, a):
-        """Install a with an empty sequence and the unit ground name."""
-        if a not in self.t:
-            self.t[a] = []
-            self.names.setdefault(a, GroundName(0, 1))
-            self.support.add(a)
-            self.cohen.setdefault(self.rp.ranks[a], [])
-
-    def same_rank_group(self, a):
-        """a together with everything at its rank below it in the support."""
-        poset = self.rp.poset
-        ra = self.rp.ranks[a]
-        return {
-            y
-            for y in self.support
-            if self.rp.ranks[y] == ra and (y == a or poset.lt(y, a))
-        }
 
     # -- block queries --
 
@@ -133,9 +125,7 @@ class Workspace:
     def _next_coordinate(self, nm, lo):
         a = nm.element
         if a not in self.t:
-            if not self.extend:
-                return None
-            self.ensure_coordinate(a)
+            return None
         while True:
             vals = self.t[a]
             i = bisect_left(vals, lo)
@@ -144,8 +134,8 @@ class Workspace:
             if not self.extend:
                 return None
             # Fresh values land above every written value, so two rounds
-            # of the group cascade are enough to pass any lo.
-            self.cascade(self.same_rank_group(a))
+            # of a's cascade are enough to pass any lo.
+            self.cascade(self.rp.ranks[a], top=a)
 
     def _next_diagonal(self, nm, lo):
         while True:
@@ -207,47 +197,57 @@ class Workspace:
         self.max_value = value
         return value
 
-    def cascade(self, coords, floor=0):
-        """Extend every coordinate in coords following the carry schedule.
+    def cascade(self, rank, top=None, floor=0):
+        """Grow the support at rank following the carry schedule.
 
-        coords must lie in the support, share one rank, and be downward
-        closed among that rank's support elements.  Raises ValueError
-        otherwise.
+        Every member at rank grows, or with top given only top and the
+        members below it there.  Raises ValueError when that selects
+        nothing: no support member at rank, or top not among them.
 
         The schedule runs over height levels: a member is at level 0 when
         no member lies below it, else one above the highest level below
-        it.  When a level's turn comes, each of its members appends once,
-        in sorted order.  That is clause 4 of the extension order: take
-        b < c in coords, so b's level is lower than c's.  Before a level's
-        first turn, and between two of its turns, every lower level
-        appends at least twice; each append lands above every value
-        written so far.  So each new gap of t_c, including the one opened
-        from a value written by an earlier call, holds two fresh values
-        of t_b, a whole block of b.  Incomparable members need nothing of
-        each other, and share a level's turn.
+        it.  A selection under top is downward closed, so its members
+        keep their levels in the slice.  When a level's turn comes, each
+        of its selected members appends once, in sorted order.  That is
+        clause 4 of the extension order: take b < c at rank, both grown,
+        so b's level is lower than c's.  Before a level's first turn, and
+        between two of its turns, every lower level appends at least
+        twice; each append lands above every value written so far.  So
+        each new gap of t_c, including the one opened from a value
+        written by an earlier call, holds two fresh values of t_b, a
+        whole block of b.  Incomparable members need nothing of each
+        other, and share a level's turn.
         """
-        coords = set(coords)
-        if not coords or not coords <= self.support:
-            raise ValueError(f"cascade set is empty or leaves the support: {sorted(coords)}")
-        ranks = {self.rp.ranks[c] for c in coords}
-        if len(ranks) != 1:
-            raise ValueError(f"mixed ranks in cascade: {sorted(coords)}")
-        rank = next(iter(ranks))
+        table = self._levels.get(rank)
+        if table is None:
+            table = self._levels[rank] = self._level_table(rank)
+        levels = table.get(top)
+        if levels is None:
+            raise ValueError(f"nothing to cascade at rank {rank} under {top!r}")
+        for idx in cascade_schedule(len(levels)):
+            for x in levels[idx]:
+                self.append_t(x, floor)
+
+    def _level_table(self, rank):
+        """The sorted height levels of the support at rank.
+
+        Keyed None for the whole slice, and by each member for its
+        down-set there.
+        """
         poset = self.rp.poset
-        for y in self.support:
-            if self.rp.ranks[y] == rank and y not in coords:
-                if any(poset.lt(y, c) for c in coords):
-                    raise ValueError(f"{y!r} sits below the cascade set but is not in it")
+        members = [y for y in self.t if self.rp.ranks[y] == rank]
         # A linear extension lists everything below x before x, so one
         # pass settles every level.
         level, levels = {}, []
-        for x in restricted_linear_order(poset, coords):
+        for x in restricted_linear_order(poset, members):
             k = level[x] = max([level[y] + 1 for y in level if poset.lt(y, x)], default=0)
             if k == len(levels):
                 levels.append([])
             levels[k].append(x)
-        for members in levels:
-            members.sort()
-        for idx in cascade_schedule(len(levels)):
-            for x in levels[idx]:
-                self.append_t(x, floor)
+        table = {None: [sorted(lv) for lv in levels]} if members else {}
+        for top in members:
+            table[top] = [
+                sorted(y for y in lv if y == top or poset.lt(y, top))
+                for lv in levels[: level[top] + 1]
+            ]
+        return table

@@ -74,7 +74,6 @@ def test_inc_seq_validation():
         IncSeq().last
     assert IncSeq([1, 4]).last == 4
     assert list(IncSeq([0, 2, 5]).blocks()) == [(0, 2), (2, 5)]
-    assert tuple(IncSeq([0, 2]).extended([7, 9])) == (0, 2, 7, 9)
 
 
 def test_bit_seq_validation():

@@ -22,12 +22,10 @@ from blockforcing.conditions import (
     CoordPart,
     RefinementCertificate,
     condition_of,
-    condition_to_json,
     workspace_of,
 )
 from blockforcing.engine import start_condition
 from blockforcing.names import coordinate_elements, descriptor, diagonal_ranks
-from blockforcing.poset import TOP
 from blockforcing.resolution import Workspace
 
 
@@ -89,15 +87,12 @@ def test_name_introspection():
 
 def test_certificates():
     old = GroundName(0, 1)
-    RefinementCertificate(old, old, "identical")
-    RefinementCertificate(old, MergeName(old, GroundName(0, 2)), "merge-coarsening")
-    with pytest.raises(ValueError):
-        RefinementCertificate(old, GroundName(0, 2), "identical")
+    RefinementCertificate(old, MergeName(old, GroundName(0, 2)))
     with pytest.raises(ValueError):
         # the old name must ride along as the left child
-        RefinementCertificate(old, MergeName(GroundName(0, 2), old), "merge-coarsening")
+        RefinementCertificate(old, MergeName(GroundName(0, 2), old))
     with pytest.raises(ValueError):
-        RefinementCertificate(old, old, "by-decree")
+        RefinementCertificate(old, old)
 
 
 # -- restrict --
@@ -110,7 +105,6 @@ def test_restrict_cuts_to_the_lower_cone():
     assert set(below_c.cohen) == {0}
     assert set(below_c.coords) == {"a", "b"}
     assert restrict(p, "a", V_RP) == EMPTY
-    assert restrict(p, TOP, V_RP) == p
 
 
 # -- the extension order, clause by clause --
@@ -156,7 +150,7 @@ def test_clause_3a_uncertified_name_change():
     p = _plain({"b"}, {0: ""}, {"b": (1,)}, {"b": new})
     report = leq_check(p, q, POINT_RP)
     assert [(v.clause, v.subject) for v in report.violations] == [("3a", "b")]
-    cert = RefinementCertificate(old, new, "merge-coarsening")
+    cert = RefinementCertificate(old, new)
     assert leq_check(p, q, POINT_RP, frozenset({cert}))
 
 
@@ -166,8 +160,8 @@ def test_clause_3a_certificates_chain():
     m2 = MergeName(m1, GroundName(0, 3))
     q = _plain({"b"}, {0: ""}, {"b": (1,)}, {"b": g1})
     p = _plain({"b"}, {0: ""}, {"b": (1,)}, {"b": m2})
-    c1 = RefinementCertificate(g1, m1, "merge-coarsening")
-    c2 = RefinementCertificate(m1, m2, "merge-coarsening")
+    c1 = RefinementCertificate(g1, m1)
+    c2 = RefinementCertificate(m1, m2)
     assert leq_check(p, q, POINT_RP, frozenset({c1, c2}))
     report = leq_check(p, q, POINT_RP, frozenset({c2}))
     assert [v.clause for v in report.violations] == ["3a"]
@@ -236,7 +230,7 @@ def _walk(ws, nm, target_len):
 
 
 def _empty_ws(rp=POINT_RP):
-    return Workspace(rp, (), {}, {}, {})
+    return Workspace(rp, {}, {}, {})
 
 
 def test_resolve_ground_is_pure():
@@ -296,15 +290,3 @@ def test_workspace_round_trip():
     q = start_condition(V_RP)
     assert condition_of(workspace_of(q, V_RP), V_RP) == q
 
-
-def test_condition_to_json_shape():
-    p = _plain({"a", "b"}, {0: "01"}, {"a": (1, 3), "b": (2,)})
-    obj = condition_to_json(p)
-    assert obj == {
-        "support": ["a", "b"],
-        "cohen": {"0": "01"},
-        "coords": {
-            "a": {"t": [1, 3], "name": {"kind": "ground", "start": 0, "step": 1}},
-            "b": {"t": [2], "name": {"kind": "ground", "start": 0, "step": 1}},
-        },
-    }

@@ -27,7 +27,6 @@ from blockforcing import (
 )
 from blockforcing.conditions import condition_of, workspace_of
 from blockforcing.engine import (
-    _full_ladder,
     _ladder,
     _separate,
     extract_reals_from,
@@ -67,7 +66,7 @@ def test_cascade_schedule_carry_counts():
 
 def test_single_cascade_frozen_values():
     ws = workspace_of(start_condition(ANTI_3), ANTI_3)
-    ws.cascade({"x", "y", "z"})
+    ws.cascade(0)
     # an antichain is one height level: one value per member, sorted order
     assert ws.t == {"x": [1], "y": [2], "z": [3]}
     assert ws.max_value == 3
@@ -76,12 +75,12 @@ def test_single_cascade_frozen_values():
 def test_cascade_over_diamond_levels():
     q = start_condition(DIAMOND)
     ws = workspace_of(q, DIAMOND)
-    ws.cascade({"w", "x", "y", "z"})
+    ws.cascade(0)
     # levels x | y, z | w run the schedule [0, 0, 1, 0, 0, 1, 2]
     assert ws.t == {"x": [1, 2, 5, 6], "y": [3, 7], "z": [4, 8], "w": [9]}
     first = condition_of(ws, DIAMOND)
     assert leq_check(first, q, DIAMOND)
-    ws.cascade({"w", "x", "y", "z"})
+    ws.cascade(0, top="w")
     assert {b: len(v) for b, v in ws.t.items()} == {"x": 8, "y": 4, "z": 4, "w": 2}
     # w's second gap [9, 18) is the first one clause 4 tests for w
     assert ws.t["w"] == [9, 18]
@@ -98,8 +97,8 @@ def _height_levels(rp, members):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000))
-def test_level_cascade_property(seed):
+@given(st.integers(0, 10_000), st.integers(0, 5))
+def test_level_cascade_property(seed, top_index):
     poset = random_poset(seed)
     rp = compute_ranks(poset, poset.maximal_elements())
     level = _height_levels(rp, poset.elements)
@@ -111,10 +110,25 @@ def test_level_cascade_property(seed):
     ws = workspace_of(prev, rp)
     for _ in range(3):
         before = {b: len(v) for b, v in ws.t.items()}
-        _full_ladder(ws)
+        _ladder(ws)
         for x in poset.elements:
             gained = len(ws.t[x]) - before[x]
             assert gained == 2 ** (levels_at[rp.ranks[x]] - 1 - level[x])
+        p = condition_of(ws, rp)
+        report = leq_check(p, prev, rp)
+        assert report.ok, report.violations
+        prev = p
+    # top= grows exactly top's same-rank down-set, top on the last level
+    elements = sorted(poset.elements)
+    top = elements[top_index % len(elements)]
+    rank = rp.ranks[top]
+    cone = {y for y in elements if rp.ranks[y] == rank and (y == top or poset.lt(y, top))}
+    for _ in range(2):
+        before = {b: len(v) for b, v in ws.t.items()}
+        ws.cascade(rank, top=top)
+        for x in elements:
+            gained = len(ws.t[x]) - before[x]
+            assert gained == (2 ** (level[top] - level[x]) if x in cone else 0)
         p = condition_of(ws, rp)
         report = leq_check(p, prev, rp)
         assert report.ok, report.violations
@@ -131,14 +145,15 @@ def test_antichain_growth_is_polynomial():
         assert len(run.chain) == 3 * n * (n - 1) + 13
 
 
-def test_cascade_rejects_bad_sets():
+def test_cascade_rejects_empty_selection():
     ws = workspace_of(start_condition(V_RP), V_RP)
     with pytest.raises(ValueError):
-        ws.cascade({"a", "c"})  # mixed ranks
-    tied = workspace_of(start_condition(TIED_CHAIN), TIED_CHAIN)
+        ws.cascade(2)  # no support member at that rank
     with pytest.raises(ValueError):
-        tied.cascade({"b"})  # a sits below b at the same rank, not included
-    assert tied.t == {"a": [], "b": []}
+        ws.cascade(0, top="c")  # c sits at rank 1
+    with pytest.raises(ValueError):
+        ws.cascade(0, top="ghost")
+    assert ws.t == {"a": [], "b": [], "c": []}
 
 
 def _start_ws(rp):
@@ -148,23 +163,18 @@ def _start_ws(rp):
 def test_ladder_extend_single_coordinate():
     q = start_condition(POINT)
     ws = workspace_of(q, POINT)
-    _ladder(ws, {"a"})
+    _ladder(ws, up_to=0)
     assert ws.t["a"] == [1]
-    _ladder(ws, {"a"})
+    _ladder(ws, up_to=0)
     assert ws.t["a"] == [1, 2]
     assert leq_check(condition_of(ws, POINT), q, POINT)
 
 
 def test_ladder_runs_lower_ranks_first():
     ws = _start_ws(V_RP)
-    _ladder(ws, {"c"})
+    _ladder(ws, up_to=1)
     # the rank-0 slice cascaded once, then c landed above everything
     assert ws.t == {"a": [1], "b": [2], "c": [3]}
-
-
-def test_ladder_rejects_mixed_ranks():
-    with pytest.raises(ValueError):
-        _ladder(_start_ws(V_RP), {"a", "c"})
 
 
 def test_ladder_extend_random_posets():
@@ -172,12 +182,9 @@ def test_ladder_extend_random_posets():
         rp = compute_ranks(random_poset(seed))
         q = start_condition(rp)
         ws = workspace_of(q, rp)
-        slices = {}
-        for x in sorted(rp.poset.elements):
-            slices.setdefault(rp.ranks[x], []).append(x)
         prev = q
-        for rank in sorted(slices):
-            _ladder(ws, set(slices[rank]))
+        for rank in sorted(set(rp.ranks.values())):
+            _ladder(ws, up_to=rank)
             p = condition_of(ws, rp)
             assert leq_check(p, prev, rp)
             prev = p
@@ -238,7 +245,6 @@ def test_dominate_swaps_name_and_certifies():
     assert final_name == MergeName(GroundName(0, 1), CoordinateName("a"))
     assert len(run.certificates) == 1
     cert = next(iter(run.certificates))
-    assert cert.kind == "merge-coarsening"
     assert cert.old_name == GroundName(0, 1) and cert.new_name == final_name
     assert run.ledger[0].info == {"swap_length": 0, "block_threshold": 0}
     assert tuple(run.chain[-1].coords["a"].t) == (1, 2)

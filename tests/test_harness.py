@@ -378,6 +378,20 @@ def test_cli_run_out_to_missing_directory(v_scenario_file, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "spec", ["seeded-random:\u00b2", "seeded-random:\u0663"], ids=["superscript", "arabic-indic"]
+)
+def test_cli_run_rejects_non_ascii_seed_tag(spec, tmp_path, capsys):
+    # str.isdigit admits both tags; int() then fails on the first and
+    # silently reads the second as 3
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"poset": {"elements": ["a"]}, "ground_reals": [spec]}))
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_cli_check_poset(tmp_path, capsys):
     path = tmp_path / "poset.json"
     path.write_text(json.dumps(V_JSON))
