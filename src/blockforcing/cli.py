@@ -21,7 +21,13 @@ from .blocks import (
     refines_at,
     remark_counterexamples,
 )
-from .errors import BlockForcingError, ResolutionExhausted, SearchExhausted, SpecError
+from .errors import (
+    BlockForcingError,
+    InsufficientViolations,
+    ResolutionExhausted,
+    SearchExhausted,
+    SpecError,
+)
 from .harness import load_scenario, render_report, run_scenario
 from .poset import compute_ranks, load_poset
 
@@ -185,13 +191,17 @@ def _cmd_oracle(args):
         )
         print(json.dumps({"member": bool(out)}))
     elif args.op == "non_subset_witness":
-        out = non_subset_witness(
-            _bits(_field(obj, "x"), "x"),
-            _bits(_field(obj, "y"), "y"),
-            _seq(_field(obj, "f"), "f"),
-            _seq(_field(obj, "g"), "g"),
-            _window(_field(obj, "window")),
-        )
+        try:
+            out = non_subset_witness(
+                _bits(_field(obj, "x"), "x"),
+                _bits(_field(obj, "y"), "y"),
+                _seq(_field(obj, "f"), "f"),
+                _seq(_field(obj, "g"), "g"),
+                _window(_field(obj, "window")),
+            )
+        except InsufficientViolations as err:
+            print(f"no witness: {err}", file=sys.stderr)
+            return 1
         print(json.dumps({"witness": out.to01()}))
     else:
         bound = _field(obj, "bound")

@@ -40,9 +40,12 @@ class Condition:
     support element to a :class:`CoordPart`.
     """
 
-    support: frozenset
     cohen: dict
     coords: dict
+
+    @property
+    def support(self):
+        return self.coords.keys()
 
 
 @dataclass(frozen=True)
@@ -83,7 +86,6 @@ def restrict(p, b, rp):
     support = p.support & down
     ranks = {rp.ranks[x] for x in support}
     return Condition(
-        support=support,
         cohen={r: bits for r, bits in p.cohen.items() if r in ranks},
         coords={x: part for x, part in p.coords.items() if x in support},
     )
@@ -101,12 +103,11 @@ def workspace_of(cond, rp, extend=True, caches=None):
 
 
 def condition_of(ws, rp):
-    support = frozenset(ws.support)
+    support = sorted(ws.support)
     ranks = {rp.ranks[x] for x in support}
     return Condition(
-        support=support,
         cohen={r: tuple(ws.cohen.get(r, ())) for r in sorted(ranks)},
-        coords={b: CoordPart(tuple(ws.t[b]), ws.names[b]) for b in sorted(support)},
+        coords={b: CoordPart(tuple(ws.t[b]), ws.names[b]) for b in support},
     )
 
 

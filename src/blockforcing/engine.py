@@ -112,7 +112,6 @@ def start_condition(rp):
     elements = sorted(rp.poset.elements)
     ranks = sorted({rp.ranks[x] for x in elements})
     return Condition(
-        support=frozenset(elements),
         cohen={r: () for r in ranks},
         coords={b: CoordPart((), GroundName(0, 1)) for b in elements},
     )

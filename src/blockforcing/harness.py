@@ -6,14 +6,16 @@ audits the result from the outside: the derived sequences must realize
 the input order exactly (subset certificates along the order, recorded
 gaps plus an explicit witness against it), and the derived Cohen words
 must disagree with every registered pattern inside every late block of
-every maximal coordinate.  The audits only use the finite combinatorics
-layer, never the engine's own bookkeeping, so they would catch it lying.
+every maximal coordinate.  The audits take the engine's ledger (its
+domination thresholds and recorded gaps) as claims only, and re-check
+each one with the finite combinatorics layer, so they would catch the
+engine lying.
 """
 
 import json
 import os
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from itertools import product
 
 from .blocks import BitSeq, Window, e_member, non_subset_witness, refines_at
@@ -177,9 +179,6 @@ class IsomorphismReport:
     ok: bool
     variant_undetermined: tuple
 
-    def __bool__(self):
-        return self.ok
-
 
 @dataclass(frozen=True)
 class CoverageEntry:
@@ -196,43 +195,31 @@ class CoverageReport:
     entries: tuple
     ok: bool
 
-    def __bool__(self):
-        return self.ok
 
+def _ledger_evidence(run):
+    """The met goals the audits re-check, read in one pass over the ledger.
 
-def _met_entries(run):
-    return {entry.goal_index: entry for entry in run.ledger}
-
-
-def _dominate_thresholds(run):
-    # (elem, coordinate read) -> smallest certified block threshold
-    out = {}
-    met = _met_entries(run)
-    for idx, goal in enumerate(run.goals):
-        if not isinstance(goal, DominateGoal) or not isinstance(goal.target, CoordinateName):
-            continue
-        entry = met.get(idx)
-        if entry is None:
-            continue
-        key = (goal.elem, goal.target.element)
-        thr = entry.info["block_threshold"]
-        out[key] = min(out.get(key, thr), thr)
-    return out
-
-
-def _recorded_gaps(run):
-    out = {}
-    met = _met_entries(run)
-    for idx, goal in enumerate(run.goals):
-        if not isinstance(goal, IncomparableGoal):
-            continue
-        entry = met.get(idx)
-        if entry is None:
-            continue
-        out.setdefault((goal.a, goal.b), []).append(
-            (entry.info["index"], tuple(entry.info["block"]))
-        )
-    return out
+    Returns the smallest block threshold per (element, coordinate read),
+    the smallest per (element, pattern), and the recorded gaps per
+    incomparable pair in goal order.
+    """
+    coord_thresholds, pattern_thresholds, gaps = {}, {}, {}
+    for entry in sorted(run.ledger, key=lambda e: e.goal_index):
+        goal = run.goals[entry.goal_index]
+        if isinstance(goal, IncomparableGoal):
+            gaps.setdefault((goal.a, goal.b), []).append(
+                (entry.info["index"], tuple(entry.info["block"]))
+            )
+        elif isinstance(goal, DominateGoal):
+            if isinstance(goal.target, CoordinateName):
+                table, key = coord_thresholds, (goal.elem, goal.target.element)
+            elif isinstance(goal.target, DiagonalName):
+                table, key = pattern_thresholds, (goal.elem, goal.target.pattern)
+            else:
+                continue
+            thr = entry.info["block_threshold"]
+            table[key] = min(table.get(key, thr), thr)
+    return coord_thresholds, pattern_thresholds, gaps
 
 
 def _padded(bits, length):
@@ -261,11 +248,7 @@ def _witness_evidence(run, a, b, d_a, d_b):
         z = non_subset_witness(x, y, d_a, d_b, w)
     except (InsufficientViolations, LengthTooShort) as err:
         return {"witness_valid": False, "witness_note": str(err)}
-    agreeing = sum(
-        1
-        for lo, hi in d_b.blocks()
-        if all(z[j] == y[j] for j in range(lo, hi))
-    )
+    agreeing = sum(1 for lo, hi in d_b.blocks() if z.bits[lo:hi] == y[lo:hi])
     valid = e_member(z, x, d_a, 0, w) and agreeing >= 2
     return {"witness_valid": bool(valid), "witness_agreeing_blocks": agreeing}
 
@@ -280,8 +263,7 @@ def check_isomorphism(run, question_variant=False):
     rp = run.rp
     elements = sorted(rp.poset.elements)
     dom = {b: run.derived.dominating[b] for b in elements}
-    thresholds = _dominate_thresholds(run)
-    gaps = _recorded_gaps(run)
+    thresholds, _, gaps = _ledger_evidence(run)
     cells = {}
     ok = True
     variant = []
@@ -297,31 +279,26 @@ def check_isomorphism(run, question_variant=False):
                 continue
             d_a, d_b = dom[a], dom[b]
             if rp.poset.lt(a, b):
-                if rp.ranks[a] == rp.ranks[b]:
-                    violations = refines_at(d_a, d_b, Window(0, d_b.last))
-                    verdict = "subset-certified" if not violations else "undetermined"
+                # Same-rank inclusions ride the cascade from block 0 on;
+                # the others hold past the swap that made b dominate a.
+                same_rank = rp.ranks[a] == rp.ranks[b]
+                thr = 0 if same_rank else thresholds.get((b, a))
+                if thr is None:
+                    verdict = "undetermined"
                     evidence = {
-                        "route": "same-rank-refines",
-                        "violations": sorted(violations),
+                        "route": "dominates",
+                        "note": "no met domination goal for this pair",
                     }
-                    if question_variant:
-                        variant.append((a, b))
                 else:
-                    thr = thresholds.get((b, a))
-                    if thr is None:
-                        verdict = "undetermined"
-                        evidence = {
-                            "route": "dominates",
-                            "note": "no met domination goal for this pair",
-                        }
+                    violations = refines_at(d_a, d_b, Window(thr, d_b.last))
+                    verdict = "subset-certified" if not violations else "undetermined"
+                    if same_rank:
+                        evidence = {"route": "same-rank-refines"}
+                        if question_variant:
+                            variant.append((a, b))
                     else:
-                        violations = refines_at(d_a, d_b, Window(thr, d_b.last))
-                        verdict = "subset-certified" if not violations else "undetermined"
-                        evidence = {
-                            "route": "dominates",
-                            "block_threshold": thr,
-                            "violations": sorted(violations),
-                        }
+                        evidence = {"route": "dominates", "block_threshold": thr}
+                    evidence["violations"] = sorted(violations)
             else:
                 recorded = gaps.get((a, b), [])
                 audited = [
@@ -359,18 +336,7 @@ def check_coverage(run, sc):
     sequence is scanned and a note says so.
     """
     rp = run.rp
-    met = _met_entries(run)
-    thresholds = {}
-    for idx, goal in enumerate(run.goals):
-        if not isinstance(goal, DominateGoal) or not isinstance(goal.target, DiagonalName):
-            continue
-        entry = met.get(idx)
-        if entry is None:
-            continue
-        key = (goal.elem, goal.target.pattern)
-        thr = entry.info["block_threshold"]
-        thresholds[key] = min(thresholds.get(key, thr), thr)
-
+    _, thresholds, _ = _ledger_evidence(run)
     entries = []
     for spec in sc.ground_reals:
         real = GroundReal(spec, sc.seed)
@@ -434,7 +400,7 @@ def tiny_subset_check(x, f, g, w):
 def report_json(run, iso, cov, sc):
     """Everything an external reader needs to re-audit the run."""
     rp = run.rp
-    met = _met_entries(run)
+    met = {entry.goal_index: entry for entry in run.ledger}
     goals = []
     for idx, goal in enumerate(run.goals):
         entry = met.get(idx)
@@ -459,17 +425,7 @@ def report_json(run, iso, cov, sc):
         "matrix": iso.cells,
         "matrix_ok": iso.ok,
         "variant_undetermined": [list(pair) for pair in iso.variant_undetermined],
-        "coverage": [
-            {
-                "real": e.real,
-                "element": e.element,
-                "rank": e.rank,
-                "block_threshold": e.block_threshold,
-                "misses": list(e.misses),
-                "note": e.note,
-            }
-            for e in cov.entries
-        ],
+        "coverage": [{**asdict(e), "misses": list(e.misses)} for e in cov.entries],
         "coverage_ok": cov.ok,
         "derived": {
             "cohen": {str(r): BitSeq(bits).to01() for r, bits in sorted(run.derived.cohen.items())},

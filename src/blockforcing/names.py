@@ -12,7 +12,7 @@ workspace carries.  Four families cover everything the engine needs:
   a whole block of each child
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .patterns import GroundReal
 
@@ -46,6 +46,15 @@ class DiagonalName:
 class MergeName:
     left: object
     right: object
+    # Walk caches key on merge names, and nested merges would otherwise
+    # rehash their whole tree on every lookup.
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+
+    def __hash__(self):
+        return self._hash
 
 
 def descriptor(nm):

@@ -32,14 +32,13 @@ from blockforcing.resolution import Workspace
 V_RP = compute_ranks(Poset(["a", "b", "c"], [("a", "c"), ("b", "c")]))
 POINT_RP = compute_ranks(Poset(["b"]))
 ZEROS = GroundReal("zeros")
-EMPTY = Condition(frozenset(), {}, {})
+EMPTY = Condition({}, {})
 
 
 def _plain(support, cohen01, tvals, names=None):
     """Assemble a condition from terse literals."""
     names = names or {}
     return Condition(
-        support=frozenset(support),
         cohen={r: tuple(int(ch) for ch in s) for r, s in cohen01.items()},
         coords={b: CoordPart(tuple(tvals[b]), names.get(b, GroundName(0, 1))) for b in support},
     )
@@ -55,6 +54,17 @@ def test_name_constructors_validate():
         GroundName(0, 0)
     with pytest.raises(ValueError):
         DiagonalName(ZEROS, -1)
+
+
+def test_merge_names_compare_by_structure():
+    def build():
+        return MergeName(MergeName(GroundName(0, 2), CoordinateName("a")), GroundName(1, 3))
+
+    nm, twin = build(), build()
+    assert nm == twin and hash(nm) == hash(twin) and repr(nm) == repr(twin)
+    assert "_hash" not in repr(nm)
+    assert {nm: 1}[twin] == 1
+    assert nm != MergeName(GroundName(1, 3), nm.left)
 
 
 def test_descriptor_tags():

@@ -1,6 +1,8 @@
 """Scenario plumbing, the order matrix, coverage audits, and the CLI."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +42,7 @@ from conftest import assert_chain_sound, random_poset
 V_POSET = Poset(["a", "b", "c"], [("a", "c"), ("b", "c")])
 V_JSON = {"elements": ["a", "b", "c"], "relations": [["a", "c"], ["b", "c"]]}
 TIED_JSON = {"elements": ["a", "b"], "relations": [["a", "b"]], "cofinal_set": ["b"]}
+DEMO_SCENARIO = Path(__file__).resolve().parent.parent / "demos" / "data" / "v_scenario.json"
 
 
 def _scenario(obj):
@@ -323,6 +326,45 @@ def test_report_shape_and_determinism():
     assert render_report(*first, sc) == render_report(*second, sc)
 
 
+CHAIN_4 = ["a", "b", "c", "d"]
+FROZEN_REPORTS = {
+    "v-demo": (
+        None,
+        "11630af8110894f6fd214d123ca4707c9bb3651855f78a27d23f78a9425ad8c3",
+    ),
+    "chain-4": (
+        {
+            "poset": {
+                "elements": CHAIN_4,
+                "relations": [[x, y] for i, x in enumerate(CHAIN_4) for y in CHAIN_4[i + 1:]],
+            },
+            "ground_reals": ["ones"],
+        },
+        "5f2a29cd7b0b171a666259778fb25dcf749f7f9c562c7d02123888756cf0f563",
+    ),
+    "antichain-4": (
+        {"poset": {"elements": CHAIN_4}, "ground_reals": ["periodic:01"]},
+        "e1d057a2e8ee2479532810ea5d6fc3bdafff870035a732ab92d55458c5688323",
+    ),
+    "tied-variant": (
+        {"poset": TIED_JSON, "ground_reals": ["zeros"], "question_variant": True},
+        "36acf3df121899be1b28ee4abdfb86ae27de1c821e46c47211215a472e625728",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_REPORTS))
+def test_report_bytes_frozen(case):
+    # Refactors of the engine or the audits must leave reports
+    # byte-identical.  Between them these shapes reach the reflexive,
+    # same-rank, dominates and recorded-blocks routes, pattern coverage
+    # and the variant list.
+    obj, digest = FROZEN_REPORTS[case]
+    sc = load_scenario(DEMO_SCENARIO) if obj is None else _scenario(obj)
+    report = render_report(*run_scenario(sc), sc)
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
 # -- command line --
 
 
@@ -451,6 +493,14 @@ def test_cli_oracle_ops(tmp_path, capsys):
          "g": list(range(17)), "window": [0, 16]},
     )
     assert rc == 0 and json.loads(captured.out) == {"witness": "0101010101010101"}
+
+    # no violating block at all: an honest "nothing found", not bad input
+    rc, captured = call(
+        "non_subset_witness",
+        {"x": "0000", "y": "0000", "f": [0, 2, 4], "g": [0, 2, 4], "window": [0, 4]},
+    )
+    assert rc == 1 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
 
     rc, captured = call("remark_counterexamples", {"bound": 64})
     assert rc == 0
