@@ -3,8 +3,8 @@
 Three subcommands: ``run`` executes a scenario file and emits the audit
 report, ``check-poset`` ranks a poset file, and ``oracle`` exposes the
 finite block comparisons for one-off use.  Exit codes are uniform:
-0 success, 1 honest failure (audit failed, budget exhausted, search
-found nothing), 2 malformed input or an unwritable report path.
+0 success, 1 honest failure (audit failed, budget exhausted, a name
+cannot advance, search found nothing), 2 malformed input or an unwritable report path.
 """
 
 import argparse
@@ -23,6 +23,7 @@ from .blocks import (
 )
 from .errors import (
     BlockForcingError,
+    CannotAdvance,
     InsufficientViolations,
     ResolutionExhausted,
     SearchExhausted,
@@ -137,6 +138,9 @@ def _cmd_run(args):
         run, iso, cov = run_scenario(sc)
     except ResolutionExhausted as err:
         print(f"budget exhausted: {err} (unmet goal indices {list(err.unmet)})", file=sys.stderr)
+        return 1
+    except CannotAdvance as err:
+        print(f"cannot advance: {err}", file=sys.stderr)
         return 1
 
     text = render_report(run, iso, cov, sc)

@@ -159,7 +159,8 @@ def leq_check(p, q, rp, certs=frozenset(), cache=None):
         if new[: len(old)] != old:
             violations.append(Violation("2", rank, "Cohen prefix not extended"))
 
-    for b in sorted(q.support & p.support):
+    shared = q.support & p.support
+    for b in sorted(shared):
         old_vals, name_old = q.coords[b]
         new_vals, name_new = p.coords[b]
         if new_vals[: len(old_vals)] != old_vals:
@@ -184,25 +185,23 @@ def leq_check(p, q, rp, certs=frozenset(), cache=None):
                 if not found:
                     violations.append(Violation("3b", b, f"index {n}: {detail}"))
 
-    shared = sorted(q.support & p.support)
-    for c in shared:
-        for b in shared:
-            if b == c or rp.ranks[b] != rp.ranks[c] or not rp.poset.lt(b, c):
-                continue
-            old_len = len(q.coords[c].t)
-            new_c = p.coords[c].t
-            t_b = p.coords[b].t
-            for n in range(max(old_len, 1), len(new_c)):
-                lo, hi = new_c[n - 1], new_c[n]
-                k = bisect_left(t_b, lo)
-                if k + 1 >= len(t_b) or t_b[k + 1] > hi:
-                    violations.append(
-                        Violation(
-                            "4",
-                            (b, c),
-                            f"index {n}: no whole block of {b!r} inside [{lo}, {hi})",
-                        )
+    for c, b in rp.same_rank_pairs:
+        if c not in shared or b not in shared:
+            continue
+        old_len = len(q.coords[c].t)
+        new_c = p.coords[c].t
+        t_b = p.coords[b].t
+        for n in range(max(old_len, 1), len(new_c)):
+            lo, hi = new_c[n - 1], new_c[n]
+            k = bisect_left(t_b, lo)
+            if k + 1 >= len(t_b) or t_b[k + 1] > hi:
+                violations.append(
+                    Violation(
+                        "4",
+                        (b, c),
+                        f"index {n}: no whole block of {b!r} inside [{lo}, {hi})",
                     )
+                )
 
     return LeqReport(not violations, tuple(violations))
 

@@ -131,19 +131,20 @@ def _ladder(ws, up_to=None):
 def _separate(ws, a, b, floor_n):
     """Record a gap in t_b that t_a can never meet again.
 
-    Phase one grows t_b (through its same-rank down-set) far enough to
-    expose gap number max(floor_n, current length) while leaving t_a
-    untouched; a cannot sit in that down-set, or it would be below b.
-    Phase two runs a's cascade, floored past the gap's right end.  a is
-    alone on the top level of its down-set, so t_a gains exactly one
-    value there and every later value anywhere is larger still.  The gap
-    stays clean forever.
+    Phase one grows t_b (through its same-rank down-set), floored above
+    t_a's last value, until gap number max(floor_n, current length) is
+    exposed: a new gap wholly above t_a.  t_a stays untouched: a in that
+    down-set, or below anything it reads, would be below b.  Phase
+    two runs a's cascade, floored past the gap's right end.  a is alone
+    on the top level of its down-set, so t_a gains one value there, and
+    every later value of t_a is larger still.  The gap stays clean.
     """
     if ws.rp.poset.leq(a, b):
         raise NotIncomparable(f"{a!r} <= {b!r}, nothing to separate")
     gap_index = max(floor_n, len(ws.t[b]))
+    above_a = ws.t[a][-1] + 1 if ws.t[a] else 0
     while len(ws.t[b]) < gap_index + 2:
-        ws.cascade(ws.rp.rank_of(b), top=b)
+        ws.cascade(ws.rp.rank_of(b), top=b, floor=above_a)
     gap = (ws.t[b][gap_index], ws.t[b][gap_index + 1])
     ws.cascade(ws.rp.rank_of(a), top=a, floor=gap[1] + 1)
     return gap_index, gap

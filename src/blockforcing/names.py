@@ -49,9 +49,14 @@ class MergeName:
     # Walk caches key on merge names, and nested merges would otherwise
     # rehash their whole tree on every lookup.
     _hash: int = field(init=False, repr=False, compare=False)
+    # Merge levels from here down to the deepest leaf; walks bound it.
+    depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.left, self.right)))
+        object.__setattr__(
+            self, "depth", 1 + max(getattr(self.left, "depth", 0), getattr(self.right, "depth", 0))
+        )
 
     def __hash__(self):
         return self._hash

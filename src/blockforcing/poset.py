@@ -8,6 +8,7 @@ condition and engine layers consume.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import CycleError, NotCofinal, SpecError, UnknownElement
 
@@ -93,6 +94,11 @@ class RankedPoset:
     def down_set(self, b):
         """Everything strictly below ``b`` in both senses."""
         return frozenset(x for x in self.poset.elements if self.ll(x, b))
+
+    @cached_property
+    def same_rank_pairs(self):
+        """Every pair ``(c, b)`` with ``b < c`` at one rank, sorted."""
+        return tuple(sorted((c, b) for b, c in self.poset.pairs if self.ranks[b] == self.ranks[c]))
 
 
 def compute_ranks(poset, cofinal=None):

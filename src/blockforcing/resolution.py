@@ -1,16 +1,16 @@
 """The shared state a run advances, and how names read blocks off it.
 
 A workspace is mutable scratch: one bit list per rank (Cohen prefixes),
-one value list per coordinate (the t-sequences), a name per coordinate,
-and the high-water mark over all written t-values.  The support is the
-set of coordinates t holds; no query adds one, so a coordinate name
-outside it reads None.  A workspace comes in two modes.  With
-``extend=True`` a block query is allowed to grow the state (append
-Cohen bits, cascade lower coordinates) and whatever it grows is kept,
-so the block it certifies stays determined from then on.  With
-``extend=False`` queries answer from present data only and return None
-rather than speculate; that is the mode the order check runs in, since
-a statement is only forced when the data already decides it.
+one value list per coordinate (the t-sequences) and a name per
+coordinate.  The support is the set of coordinates t holds; no query
+adds one, so a coordinate name outside it reads None.  A workspace
+comes in two modes.  With ``extend=True`` a block query is allowed to
+grow the state (append Cohen bits, cascade lower coordinates) and
+whatever it grows is kept, so the block it certifies stays determined
+from then on.  With ``extend=False`` queries answer from present data
+only and return None rather than speculate; that is the mode the order
+check runs in, since a statement is only forced when the data already
+decides it.
 
 All block queries are prefix-stable: growing the state never changes an
 answer already given, it only turns None into a block.  That is what
@@ -23,6 +23,9 @@ there, running the binary carry schedule over height levels, so its
 cost follows the longest chain inside the slice: a same-rank antichain
 gains one value per member.  A rank's levels depend only on the order,
 so each workspace works them out once, on that rank's first cascade.
+Freshness is local: a new value clears what its own cascade holds, or
+a floor its caller sets, never the whole state, so a coordinate read
+inside a nested merge walk does not overshoot the levels around it.
 """
 
 from bisect import bisect_left
@@ -31,7 +34,8 @@ from .errors import CannotAdvance
 from .names import CoordinateName, DiagonalName, GroundName, MergeName
 from .poset import restricted_linear_order
 
-_MAX_NAME_DEPTH = 64
+# Two stack frames per merge level: this fits the interpreter's default stack.
+_MAX_NAME_DEPTH = 256
 
 _NO_BITS = ()
 
@@ -58,11 +62,9 @@ class Workspace:
         self.t = {b: list(vals) for b, vals in t.items()}
         self.names = dict(names)
         self.extend = extend
-        self.max_value = max((vs[-1] for vs in self.t.values() if vs), default=-1)
         caches = caches if caches is not None else {}
         self._merge_walks = caches.setdefault("merge", {})
         self._diag = caches.setdefault("diag", {})
-        self._depth = 0
         self._levels = {}
 
     @property
@@ -94,12 +96,10 @@ class Workspace:
         """The first block [B, E) of nm with B >= lo, or None if undetermined.
 
         Blocks of one name come in increasing order, so if this block does
-        not fit below some bound, no later block will.
+        not fit below some bound, no later block will.  A walk nested too
+        deep for the interpreter's stack raises CannotAdvance.
         """
-        self._depth += 1
         try:
-            if self._depth > _MAX_NAME_DEPTH:
-                raise CannotAdvance("name nesting exceeds the depth bound")
             if isinstance(nm, GroundName):
                 return self._next_ground(nm, lo)
             if isinstance(nm, CoordinateName):
@@ -108,11 +108,10 @@ class Workspace:
                 return self._next_diagonal(nm, lo)
             if isinstance(nm, MergeName):
                 return self._next_merge(nm, lo)
-            raise CannotAdvance(f"unusable name {nm!r}")
-        finally:
-            # Undo only this frame's increment, so an overflow leaves the
-            # counter where the outermost call found it.
-            self._depth -= 1
+        except RecursionError as err:
+            # Coordinate reads nest walks in walks; no name depth caps that.
+            raise CannotAdvance("name walk exceeds the interpreter's stack") from err
+        raise CannotAdvance(f"unusable name {nm!r}")
 
     def _next_ground(self, nm, lo):
         if lo <= nm.start:
@@ -123,6 +122,11 @@ class Workspace:
         return b, b + nm.step
 
     def _next_coordinate(self, nm, lo):
+        """The gap of t_a at or past lo, grown by a's cascade floored at lo.
+
+        a, alone on the top level of its down-set, gains one value at or
+        above lo per round, so two rounds pass any lo.
+        """
         a = nm.element
         if a not in self.t:
             return None
@@ -133,9 +137,7 @@ class Workspace:
                 return vals[i], vals[i + 1]
             if not self.extend:
                 return None
-            # Fresh values land above every written value, so two rounds
-            # of a's cascade are enough to pass any lo.
-            self.cascade(self.rp.ranks[a], top=a)
+            self.cascade(self.rp.ranks[a], top=a, floor=lo)
 
     def _next_diagonal(self, nm, lo):
         while True:
@@ -154,7 +156,12 @@ class Workspace:
                 v.append(1 - nm.pattern.bit(len(v)))
 
     def _next_merge(self, nm, lo):
-        hs = self._merge_walks.setdefault(nm, [])
+        hs = self._merge_walks.get(nm)
+        if hs is None:
+            # Checked once per walk: a name past the bound never gets one.
+            if nm.depth > _MAX_NAME_DEPTH:
+                raise CannotAdvance("name nesting exceeds the depth bound")
+            hs = self._merge_walks[nm] = []
         while True:
             i = bisect_left(hs, lo)
             if i + 1 < len(hs):
@@ -184,17 +191,17 @@ class Workspace:
     def append_t(self, b, floor=0):
         """Append one value to t_b, certifying a name block in the new gap.
 
-        The value strictly exceeds everything written so far in any t,
-        which is what keeps previously recorded gaps clean.
+        The value is the end of the name's first block at or past t_b's
+        last value, or floor if larger: the new gap holds that block and
+        t_b increases.  Anything else it must clear, the caller floors.
         """
         vals = self.t[b]
         lo = vals[-1] if vals else 0
         blk = self.next_block(self.names[b], lo)
         if blk is None:
             raise CannotAdvance(f"name at {b!r} yields no block past {lo}")
-        value = max(self.max_value + 1, blk[1], floor)
+        value = max(blk[1], floor)
         vals.append(value)
-        self.max_value = value
         return value
 
     def cascade(self, rank, top=None, floor=0):
@@ -208,15 +215,18 @@ class Workspace:
         no member lies below it, else one above the highest level below
         it.  A selection under top is downward closed, so its members
         keep their levels in the slice.  When a level's turn comes, each
-        of its selected members appends once, in sorted order.  That is
-        clause 4 of the extension order: take b < c at rank, both grown,
-        so b's level is lower than c's.  Before a level's first turn, and
-        between two of its turns, every lower level appends at least
-        twice; each append lands above every value written so far.  So
-        each new gap of t_c, including the one opened from a value
-        written by an earlier call, holds two fresh values of t_b, a
-        whole block of b.  Incomparable members need nothing of each
-        other, and share a level's turn.
+        of its selected members appends once, in sorted order.  A running
+        mark hi starts at the larger of floor - 1 and the largest last
+        value the selection holds, and each append is floored at hi + 1,
+        so it lands above everything the selection holds (and floor).
+        That is clause 4 of the extension order: take b < c at rank, c
+        grown, so b is selected too and its level is lower than c's.
+        Before a level's first turn, and between two of its turns, every
+        lower level appends at least twice, each time above c's last
+        value.  So each new gap of t_c, including the one opened from a
+        value written by an earlier call, holds two fresh values of t_b,
+        a whole block of b.  Incomparable members need nothing of each
+        other, and share a level's turn; members not selected gain no gap.
         """
         table = self._levels.get(rank)
         if table is None:
@@ -224,9 +234,10 @@ class Workspace:
         levels = table.get(top)
         if levels is None:
             raise ValueError(f"nothing to cascade at rank {rank} under {top!r}")
+        hi = max([floor - 1] + [self.t[x][-1] for lv in levels for x in lv if self.t[x]])
         for idx in cascade_schedule(len(levels)):
             for x in levels[idx]:
-                self.append_t(x, floor)
+                hi = self.append_t(x, hi + 1)
 
     def _level_table(self, rank):
         """The sorted height levels of the support at rank.

@@ -1,5 +1,7 @@
 """Names, certificates, and the four-clause extension order."""
 
+import sys
+
 import pytest
 
 from blockforcing import (
@@ -216,6 +218,23 @@ def test_clause_4_same_rank_nesting():
     assert leq_check(good, q, chain_rp)
 
 
+def test_clause_4_violations_in_pair_order():
+    # one rank: only w is cofinal, so the whole diamond ties at rank 0
+    diamond = compute_ranks(
+        Poset(["w", "x", "y", "z"], [("x", "y"), ("x", "z"), ("y", "w"), ("z", "w")]), {"w"}
+    )
+    support = {"w", "x", "y", "z"}
+    q = _plain(support, {0: ""}, {b: () for b in support})
+    # y's gap [5, 6) misses x, w's gap [10, 20) misses y; the rest nest
+    tvals = {"w": (10, 20), "x": (11, 12, 13, 14, 15), "y": (5, 6), "z": (14, 15)}
+    report = leq_check(_plain(support, {0: ""}, tvals), q, diamond)
+    # ordered by the upper coordinate, then the lower one
+    assert [(v.clause, v.subject) for v in report.violations] == [
+        ("4", ("y", "w")),
+        ("4", ("x", "y")),
+    ]
+
+
 def test_leq_ignores_unrelated_growth():
     # New coordinates and new ranks on the stronger side carry no clauses.
     q = _plain({"a"}, {0: "1"}, {"a": (1,)})
@@ -281,16 +300,46 @@ def test_resolve_prefix_stability():
         assert long[: len(short)] == short
 
 
-def test_name_depth_guard_holds_after_overflow():
-    # Every call past the bound must fail, not just the first: an
-    # overflow may not leave the depth counter below where it started.
+def _deep_merge(depth):
     nm = GroundName(0, 1)
-    for _ in range(65):
+    for _ in range(depth):
         nm = MergeName(nm, GroundName(0, 1))
+    return nm
+
+
+def test_name_depth_guard_holds_after_overflow():
+    # A name nested far past the bound fails on every call, not just the
+    # first, and before any of its walk is built.
+    nm = _deep_merge(1000)
+    assert nm.depth == 1000
     ws = _empty_ws()
     for _ in range(2):
         with pytest.raises(CannotAdvance):
             ws.next_block(nm, 0)
+    assert ws._merge_walks == {}
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_walk_deeper_than_the_stack_cannot_advance():
+    # Within the depth bound, but deeper than the interpreter's stack
+    # allows: the walk ends in CannotAdvance, never in RecursionError.
+    nm = _deep_merge(200)
+    ws = _empty_ws()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 150)
+    try:
+        for _ in range(2):
+            with pytest.raises(CannotAdvance):
+                ws.next_block(nm, 0)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert ws.next_block(_deep_merge(3), 0) == (0, 1)
 
 
 # -- serialization --

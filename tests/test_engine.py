@@ -69,7 +69,6 @@ def test_single_cascade_frozen_values():
     ws.cascade(0)
     # an antichain is one height level: one value per member, sorted order
     assert ws.t == {"x": [1], "y": [2], "z": [3]}
-    assert ws.max_value == 3
 
 
 def test_cascade_over_diamond_levels():
@@ -135,14 +134,43 @@ def test_level_cascade_property(seed, top_index):
         prev = p
 
 
+def _antichain_max_t(n, min_length=12, repeats=3):
+    # The ladder leaves e_i's last value at (min_length - 1) * n + 1 + i.
+    # Separating (a, b) opens its gap at g, one past the larger of their
+    # last values: t_b gains g and g + 1, then t_a gains g + 2.
+    last = [(min_length - 1) * n + 1 + i for i in range(n)]
+    for a in range(n):
+        for b in range(n):
+            for _ in range(repeats if a != b else 0):
+                g = max(last[a], last[b]) + 1
+                last[b], last[a] = g + 1, g + 2
+    return max(last)
+
+
 def test_antichain_growth_is_polynomial():
+    tops = []
     for n in range(2, 9):
         sc = Scenario.from_json({"poset": {"elements": [f"e{i}" for i in range(n)]}})
         run, iso, cov = run_scenario(sc)
         assert iso.ok and cov.ok
-        assert max(seq.values[-1] for seq in run.derived.dominating.values()) == 3 * n * (3 * n + 1)
+        tops.append(max(seq.values[-1] for seq in run.derived.dominating.values()))
+        assert tops[-1] == _antichain_max_t(n)
         # the start, 12 ladder links, then 3 separations per ordered pair
         assert len(run.chain) == 3 * n * (n - 1) + 13
+    assert tops == [42, 88, 144, 217, 300, 400, 510]
+
+
+def test_chain_growth_is_quadratic():
+    # each element dominates everything below it, so the top's name nests
+    # n - 1 merges; a new value clears only its own cascade, not the state
+    for n in range(2, 11):
+        elements = [f"e{i}" for i in range(n)]
+        relations = [[x, y] for i, x in enumerate(elements) for y in elements[i + 1:]]
+        sc = Scenario.from_json({"poset": {"elements": elements, "relations": relations}})
+        run, iso, cov = run_scenario(sc)
+        assert iso.ok and cov.ok
+        top = max(seq.values[-1] for seq in run.derived.dominating.values())
+        assert top == 5 * n * n - 7 * n + 16
 
 
 def test_cascade_rejects_empty_selection():
@@ -173,8 +201,8 @@ def test_ladder_extend_single_coordinate():
 def test_ladder_runs_lower_ranks_first():
     ws = _start_ws(V_RP)
     _ladder(ws, up_to=1)
-    # the rank-0 slice cascaded once, then c landed above everything
-    assert ws.t == {"a": [1], "b": [2], "c": [3]}
+    # the rank-0 slice cascaded once; c clears only its own rank's slice
+    assert ws.t == {"a": [1], "b": [2], "c": [1]}
 
 
 def test_ladder_extend_random_posets():
@@ -247,9 +275,20 @@ def test_dominate_swaps_name_and_certifies():
     cert = next(iter(run.certificates))
     assert cert.old_name == GroundName(0, 1) and cert.new_name == final_name
     assert run.ledger[0].info == {"swap_length": 0, "block_threshold": 0}
+    # b's first merge block [0, 2) asks a's cascade for a second value
     assert tuple(run.chain[-1].coords["a"].t) == (1, 2)
-    assert tuple(run.chain[-1].coords["b"].t) == (3,)
+    assert tuple(run.chain[-1].coords["b"].t) == (2,)
     assert_chain_sound(run)
+
+
+def test_star_nests_past_the_old_depth_bound():
+    # the top dominates 65 leaves, so its name nests 65 merges
+    leaves = [f"l{i:02d}" for i in range(65)]
+    rp = compute_ranks(Poset(leaves + ["top"], [(x, "top") for x in leaves]))
+    goals = [DominateGoal("top", CoordinateName(x)) for x in leaves] + [LengthGoal("top", 2)]
+    run = build_generic(rp, goals, 256)
+    top = run.chain[-1].coords["top"]
+    assert top.name.depth == 65 and len(top.t) >= 2
 
 
 def test_cohen_disagree_goals():

@@ -8,6 +8,7 @@ import pytest
 
 from blockforcing import (
     BitSeq,
+    CannotAdvance,
     CohenDisagreeGoal,
     CoordinateName,
     CycleError,
@@ -34,6 +35,7 @@ from blockforcing import (
     run_scenario,
     tiny_subset_check,
 )
+from blockforcing import cli
 from blockforcing.cli import main
 from blockforcing.harness import report_json
 from conftest import assert_chain_sound, random_poset
@@ -330,7 +332,7 @@ CHAIN_4 = ["a", "b", "c", "d"]
 FROZEN_REPORTS = {
     "v-demo": (
         None,
-        "11630af8110894f6fd214d123ca4707c9bb3651855f78a27d23f78a9425ad8c3",
+        "77044711014d113bbcfe0528594cd7b11c5ca19838d7f918b7bde3541f66cc94",
     ),
     "chain-4": (
         {
@@ -340,11 +342,11 @@ FROZEN_REPORTS = {
             },
             "ground_reals": ["ones"],
         },
-        "5f2a29cd7b0b171a666259778fb25dcf749f7f9c562c7d02123888756cf0f563",
+        "24294e14fb9caa5819c368973bc3b23df57ceab9e95e27e5913a607a5d3768ef",
     ),
     "antichain-4": (
         {"poset": {"elements": CHAIN_4}, "ground_reals": ["periodic:01"]},
-        "e1d057a2e8ee2479532810ea5d6fc3bdafff870035a732ab92d55458c5688323",
+        "bc456eaa21e99f134ec999035de71d3fac188b314f55fc1839000e9c55823978",
     ),
     "tied-variant": (
         {"poset": TIED_JSON, "ground_reals": ["zeros"], "question_variant": True},
@@ -399,6 +401,18 @@ def test_cli_run_budget_exhaustion(v_scenario_file, capsys):
     err = capsys.readouterr().err
     assert "budget exhausted" in err and "unmet goal indices" in err
     assert main(["run", str(v_scenario_file), "--resolution", "0"]) == 2
+
+
+def test_cli_run_cannot_advance(v_scenario_file, monkeypatch, capsys):
+    # a valid scenario the engine cannot finish is an honest failure
+    def stuck(sc):
+        raise CannotAdvance("name nesting exceeds the depth bound")
+
+    monkeypatch.setattr(cli, "run_scenario", stuck)
+    assert main(["run", str(v_scenario_file)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "cannot advance: name nesting exceeds the depth bound\n"
 
 
 def test_cli_rejects_malformed_input(tmp_path, capsys):
