@@ -29,7 +29,7 @@ from .errors import (
     SearchExhausted,
     SpecError,
 )
-from .harness import load_scenario, render_report, run_scenario
+from .harness import load_scenario, read_json, render_report, run_scenario
 from .poset import compute_ranks, load_poset
 
 
@@ -57,16 +57,6 @@ def build_parser():
     p_oracle.add_argument("input", help="path to a JSON file with the operands")
 
     return parser
-
-
-def _load_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as err:
-        raise SpecError(f"cannot read {path!r}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise SpecError(f"{path!r} is not valid JSON: {err}") from err
 
 
 def _is_int(value):
@@ -165,7 +155,7 @@ def _cmd_run(args):
 
 
 def _cmd_check_poset(args):
-    poset, cofinal = load_poset(_load_json(args.poset))
+    poset, cofinal = load_poset(read_json(args.poset, "poset file"))
     rp = compute_ranks(poset, cofinal)
     for x in sorted(poset.elements):
         print(f"rank({x}) = {rp.ranks[x]}")
@@ -174,7 +164,7 @@ def _cmd_check_poset(args):
 
 
 def _cmd_oracle(args):
-    obj = _load_json(args.input)
+    obj = read_json(args.input, "input file")
     if args.op == "refines_at":
         out = refines_at(
             _seq(_field(obj, "f"), "f"),

@@ -13,9 +13,12 @@ each t-sequence a tuple of ints.  The engine copies them off its
 workspace once per link; the derived reals validate them once, at the
 end of a run (see ``engine.extract_reals_from``).
 
-Clause 3b is a forced statement, so it is decided from determined data
-only: the restricted condition plus the stronger side's Cohen prefix at
-the coordinate's rank, evaluated by a non-extending workspace.
+Clause 3b is a forced statement, decided from determined data only.  The
+name at b ranges over the part of Q below b: its old name may read only
+coordinates strictly below b that p holds, and Cohen prefixes at their
+ranks or at b's own.  Any other name gets no determined block, as on p
+restricted below b, where what it reads is missing.  A name that passes
+is read off p in place by one non-extending workspace.
 """
 
 from bisect import bisect_left
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import CannotAdvance
-from .names import MergeName
+from .names import CoordinateName, DiagonalName, MergeName, leaves
 from .resolution import Workspace
 
 
@@ -82,8 +85,8 @@ class LeqReport:
 
 def restrict(p, b, rp):
     """The part of p visible strictly below b (in order and rank)."""
-    down = rp.down_set(b)
-    support = p.support & down
+    rp.rank_of(b)  # an unknown b raises UnknownElement
+    support = p.support & rp.below[b]
     ranks = {rp.ranks[x] for x in support}
     return Condition(
         cohen={r: bits for r, bits in p.cohen.items() if r in ranks},
@@ -91,14 +94,12 @@ def restrict(p, b, rp):
     )
 
 
-def workspace_of(cond, rp, extend=True, caches=None):
+def workspace_of(cond, rp):
     return Workspace(
         rp,
         cond.cohen,
         {b: part.t for b, part in cond.coords.items()},
         {b: part.name for b, part in cond.coords.items()},
-        extend=extend,
-        caches=caches,
     )
 
 
@@ -111,42 +112,46 @@ def condition_of(ws, rp):
     )
 
 
-def _restricted_view(p, b, rp, cache):
-    # The decision context of clause 3b: p below b, plus p's own Cohen
-    # prefix at b's rank riding alongside (b itself is never in its cone).
-    caches = cache.setdefault(b, {}) if cache is not None else None
-    view = workspace_of(restrict(p, b, rp), rp, extend=False, caches=caches)
-    rb = rp.ranks[b]
-    view.cohen[rb] = list(p.cohen.get(rb, ()))
-    return view
+def _reads_below(nm, b, p, rp):
+    """Whether nm reads only what p holds below b (the clause 3b context)."""
+    cone = rp.below[b] & p.coords.keys()
+    ranks = {rp.ranks[x] for x in cone} | {rp.rank_of(b)}
+    for leaf in leaves(nm):
+        if isinstance(leaf, CoordinateName) and leaf.element not in cone:
+            return False
+        if isinstance(leaf, DiagonalName) and leaf.rank not in ranks:
+            return False
+    return True
 
 
 def _names_linked(old, new, certs):
-    if old == new:
-        return True
-    frontier = [old]
-    seen = set()
-    while frontier:
-        cur = frontier.pop()
-        if cur == new:
-            return True
-        if cur in seen:
-            continue
-        seen.add(cur)
-        for cert in certs:
-            if cert.old_name == cur:
-                frontier.append(cert.new_name)
-    return False
+    # Each certificate's new name holds its old name as the left child,
+    # so a certified path from old to new runs down new's left spine.
+    cur = new
+    while cur != old:
+        if not isinstance(cur, MergeName) or RefinementCertificate(cur.left, cur) not in certs:
+            return False
+        cur = cur.left
+    return True
 
 
 def leq_check(p, q, rp, certs=frozenset(), cache=None):
     """Whether p extends q, with one violation record per failing clause.
 
     ``cache`` may be threaded through successive calls along one
-    descending chain; the determined data only grows link to link, so
-    the per-coordinate walk caches stay valid and the whole chain
-    verifies in one pass over the data.
+    descending chain.  It holds one non-extending workspace, pointed at
+    each link's p in turn, whose walk caches every coordinate shares: all
+    of them read the same p, and the determined data only grows link to
+    link, so the caches stay valid and the whole chain verifies in one
+    pass over the data.
     """
+    cache = {} if cache is None else cache
+    if "view" not in cache:
+        cache["view"] = Workspace(rp, {}, {}, {}, extend=False)
+    view = cache["view"]
+    # A non-extending view never writes, so p's own tuples serve as its data.
+    view.cohen = p.cohen
+    view.t = {b: part.t for b, part in p.coords.items()}
     violations = []
 
     missing = q.support - p.support
@@ -171,19 +176,18 @@ def leq_check(p, q, rp, certs=frozenset(), cache=None):
                 Violation("3a", b, "names differ and no certificate chain connects them")
             )
         fresh = range(max(len(old_vals), 1), len(new_vals))
-        if fresh:
-            view = _restricted_view(p, b, rp, cache)
-            for n in fresh:
-                lo, hi = new_vals[n - 1], new_vals[n]
-                try:
-                    found = view.has_block_within(name_old, lo, hi)
-                except CannotAdvance as err:
-                    found = False
-                    detail = f"old name undecidable on [{lo}, {hi}): {err}"
-                else:
-                    detail = f"no determined block of the old name inside [{lo}, {hi})"
-                if not found:
-                    violations.append(Violation("3b", b, f"index {n}: {detail}"))
+        readable = bool(fresh) and _reads_below(name_old, b, p, rp)
+        for n in fresh:
+            lo, hi = new_vals[n - 1], new_vals[n]
+            try:
+                found = readable and view.has_block_within(name_old, lo, hi)
+            except CannotAdvance as err:
+                found = False
+                detail = f"old name undecidable on [{lo}, {hi}): {err}"
+            else:
+                detail = f"no determined block of the old name inside [{lo}, {hi})"
+            if not found:
+                violations.append(Violation("3b", b, f"index {n}: {detail}"))
 
     for c, b in rp.same_rank_pairs:
         if c not in shared or b not in shared:

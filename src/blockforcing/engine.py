@@ -205,7 +205,7 @@ def build_generic(rp, goals, resolution, seed=0):
         raise ValueError(f"step budget must be at least 1, got {resolution}")
 
     chain = [start_condition(rp)]
-    ws = workspace_of(chain[0], rp, extend=True)
+    ws = workspace_of(chain[0], rp)
     certs = set()
     ledger = []
     met = [False] * len(goals)
@@ -259,7 +259,7 @@ def build_generic(rp, goals, resolution, seed=0):
             info = {"index": gap_index, "block": list(gap)}
 
         p = condition_of(ws, rp)
-        report = leq_check(p, chain[-1], rp, frozenset(certs), cache=check_cache)
+        report = leq_check(p, chain[-1], rp, certs, cache=check_cache)
         if not report:
             raise BlockForcingError(
                 f"engine emitted an invalid link for goal {i}: {report.violations}"

@@ -81,13 +81,7 @@ class Scenario:
         raw_poset = obj.get("poset")
         if isinstance(raw_poset, str):
             path = raw_poset if base_dir is None else os.path.join(base_dir, raw_poset)
-            try:
-                with open(path) as fh:
-                    raw_poset = json.load(fh)
-            except OSError as err:
-                raise SpecError(f"cannot read poset file {path!r}: {err}") from err
-            except json.JSONDecodeError as err:
-                raise SpecError(f"poset file {path!r} is not valid JSON: {err}") from err
+            raw_poset = read_json(path, "poset file")
         if not isinstance(raw_poset, dict):
             raise SpecError('"poset" must be an inline object or a file path')
         poset, cofinal = load_poset(raw_poset)
@@ -126,14 +120,19 @@ class Scenario:
         )
 
 
-def load_scenario(path):
+def read_json(path, what):
+    """The parsed JSON file at path; failing to read or parse it is a SpecError."""
     try:
-        with open(path) as fh:
-            obj = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
     except OSError as err:
-        raise SpecError(f"cannot read scenario file {path!r}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise SpecError(f"scenario file {path!r} is not valid JSON: {err}") from err
+        raise SpecError(f"cannot read {what} {path!r}: {err}") from err
+    except (ValueError, RecursionError) as err:  # bad UTF-8 or JSON, or nesting too deep
+        raise SpecError(f"{what} {path!r} is not valid JSON: {err}") from err
+
+
+def load_scenario(path):
+    obj = read_json(path, "scenario file")
     return Scenario.from_json(obj, base_dir=os.path.dirname(os.path.abspath(path)))
 
 

@@ -80,19 +80,22 @@ def descriptor(nm):
     raise ValueError(f"unknown name {nm!r}")
 
 
+def leaves(nm):
+    """The non-merge names inside nm; the walk keeps its own stack, so any depth walks."""
+    stack = [nm]
+    while stack:
+        cur = stack.pop()
+        if isinstance(cur, MergeName):
+            stack += (cur.right, cur.left)
+        else:
+            yield cur
+
+
 def diagonal_ranks(nm):
     """All rank tags of diagonal names inside nm."""
-    if isinstance(nm, DiagonalName):
-        return {nm.rank}
-    if isinstance(nm, MergeName):
-        return diagonal_ranks(nm.left) | diagonal_ranks(nm.right)
-    return set()
+    return {leaf.rank for leaf in leaves(nm) if isinstance(leaf, DiagonalName)}
 
 
 def coordinate_elements(nm):
     """All coordinates whose t-sequences nm reads."""
-    if isinstance(nm, CoordinateName):
-        return {nm.element}
-    if isinstance(nm, MergeName):
-        return coordinate_elements(nm.left) | coordinate_elements(nm.right)
-    return set()
+    return {leaf.element for leaf in leaves(nm) if isinstance(leaf, CoordinateName)}

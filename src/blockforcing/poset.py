@@ -91,9 +91,11 @@ class RankedPoset:
         """Whether ``x`` sits strictly below ``y`` in both order and rank."""
         return self.poset.lt(x, y) and self.ranks[x] < self.ranks[y]
 
-    def down_set(self, b):
-        """Everything strictly below ``b`` in both senses."""
-        return frozenset(x for x in self.poset.elements if self.ll(x, b))
+    @cached_property
+    def below(self):
+        """Each element's down-set: everything strictly below it in both senses."""
+        elements = self.poset.elements
+        return {y: frozenset(x for x in elements if self.ll(x, y)) for y in elements}
 
     @cached_property
     def same_rank_pairs(self):

@@ -10,11 +10,13 @@ whatever it grows is kept, so the block it certifies stays determined
 from then on.  With ``extend=False`` queries answer from present data
 only and return None rather than speculate; that is the mode the order
 check runs in, since a statement is only forced when the data already
-decides it.
+decides it.  Such a view never writes, so the order check points one
+at each link's own tuples in turn.
 
 All block queries are prefix-stable: growing the state never changes an
 answer already given, it only turns None into a block.  That is what
-makes the per-name walk caches safe to keep across a whole run.
+makes the per-name walk caches safe to keep across a whole run, and
+across the links of a descending chain, whose data only grows.
 
 Same-rank coordinates grow together through the cascade, the one place
 that decides which coordinates grow and in what order.  It grows a
@@ -56,15 +58,14 @@ def cascade_schedule(n):
 
 
 class Workspace:
-    def __init__(self, rp, cohen, t, names, extend=True, caches=None):
+    def __init__(self, rp, cohen, t, names, extend=True):
         self.rp = rp
         self.cohen = {rank: list(bits) for rank, bits in cohen.items()}
         self.t = {b: list(vals) for b, vals in t.items()}
         self.names = dict(names)
         self.extend = extend
-        caches = caches if caches is not None else {}
-        self._merge_walks = caches.setdefault("merge", {})
-        self._diag = caches.setdefault("diag", {})
+        self._merge_walks = {}
+        self._diag = {}
         self._levels = {}
 
     @property
@@ -148,12 +149,9 @@ class Workspace:
             if not self.extend:
                 return None
             v = self._cohen_list(nm.rank)
-            if len(v) < lo:
-                # Bulk-fill the gap; every written bit flips the pattern,
-                # so each position past here is a disagreement.
-                v.extend(1 - nm.pattern.bit(j) for j in range(len(v), lo))
-            else:
-                v.append(1 - nm.pattern.bit(len(v)))
+            # Fill up to lo, or one bit if v reaches it already; every
+            # written bit flips the pattern, so each is a disagreement.
+            v.extend(1 - nm.pattern.bit(j) for j in range(len(v), max(lo, len(v) + 1)))
 
     def _next_merge(self, nm, lo):
         hs = self._merge_walks.get(nm)

@@ -205,6 +205,63 @@ def test_clause_3b_reads_the_cohen_prefix():
     assert [(v.clause, v.subject) for v in report.violations] == [("3b", "b")]
 
 
+def _deep_ground_merge(depth):
+    nm = GroundName(0, 1)
+    for _ in range(depth):
+        nm = MergeName(nm, GroundName(0, 1))
+    return nm
+
+
+@pytest.mark.parametrize(
+    "rp, cohen01, old_t, new_t, name",
+    [
+        # t_b holds whole blocks inside [1, 5), but b is not below a
+        (V_RP, {0: ""}, {"a": (1,), "b": (1, 2, 3, 4)}, {"a": (1, 5)}, CoordinateName("b")),
+        # the rank-1 bits disagree inside [1, 3), but rank 1 is c's, not a's
+        (V_RP, {0: "", 1: "1111"}, {"a": (1,)}, {"a": (1, 3)}, DiagonalName(ZEROS, 1)),
+        # nested far past the walk bound: undecidable, not a RecursionError
+        (compute_ranks(Poset(["a"])), {0: ""}, {"a": (1,)}, {"a": (1, 2)}, _deep_ground_merge(5000)),
+    ],
+    ids=["coordinate-beside", "diagonal-above", "deep-merge"],
+)
+def test_clause_3b_judges_only_what_lies_below(rp, cohen01, old_t, new_t, name):
+    support = set(old_t)
+    q = _plain(support, cohen01, old_t, {"a": name})
+    p = _plain(support, cohen01, {**old_t, **new_t}, {"a": name})
+    report = leq_check(p, q, rp)
+    assert [(v.clause, v.subject) for v in report.violations] == [("3b", "a")]
+
+
+def test_one_cache_serves_a_whole_chain():
+    # c's name merges t_a with the rank-1 disagreements.  The second link
+    # opens a gap at c that the data does not yet decide; the third link
+    # grows the data and decides it.
+    names = {"a": DiagonalName(ZEROS, 0), "c": MergeName(CoordinateName("a"), DiagonalName(ZEROS, 1))}
+    support = {"a", "b", "c"}
+    chain = [
+        _plain(support, {0: "", 1: ""}, {"a": (), "b": (), "c": ()}, names),
+        _plain(support, {0: "1111111", 1: "11"}, {"a": (1, 2, 3), "b": (1,), "c": (0, 2)}, names),
+        _plain(support, {0: "1111111", 1: "11"}, {"a": (1, 2, 3), "b": (1,), "c": (0, 2, 3)}, names),
+        _plain(
+            support, {0: "1111111", 1: "11111"}, {"a": (1, 2, 3, 4, 5), "b": (1, 2), "c": (0, 2, 3, 5)}, names
+        ),
+    ]
+    views = [lambda cond: cond] + [
+        lambda cond, b=b: restrict(cond, b, V_RP) for b in sorted(support)
+    ]
+    for view in views:
+        cache = {}
+        for q, p in zip(chain, chain[1:]):
+            threaded = leq_check(view(p), view(q), V_RP, cache=cache)
+            assert threaded == leq_check(view(p), view(q), V_RP)
+    reports = [leq_check(p, q, V_RP) for q, p in zip(chain, chain[1:])]
+    assert [[(v.clause, v.subject) for v in r.violations] for r in reports] == [
+        [],
+        [("3b", "c")],
+        [],
+    ]
+
+
 def test_clause_4_same_rank_nesting():
     chain_rp = compute_ranks(Poset(["a", "b"], [("a", "b")]), {"b"})
     assert chain_rp.ranks == {"a": 0, "b": 0}

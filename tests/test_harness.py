@@ -426,6 +426,25 @@ def test_cli_rejects_malformed_input(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [b"\xff", b"[" * 100_000], ids=["not-utf8", "nested-too-deep"])
+@pytest.mark.parametrize("entry", ["run", "check-poset", "oracle", "scenario-poset-path"])
+def test_cli_rejects_unparsable_json(entry, content, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    if entry == "oracle":
+        argv = ["oracle", "refines_at", str(bad)]
+    elif entry == "scenario-poset-path":
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps({"poset": "bad.json"}))
+        argv = ["run", str(scenario)]
+    else:
+        argv = [entry, str(bad)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_cli_run_out_to_missing_directory(v_scenario_file, tmp_path, capsys):
     out = tmp_path / "missing" / "r.json"
     assert main(["run", str(v_scenario_file), "--out", str(out)]) == 2

@@ -73,9 +73,9 @@ def test_strictly_below_relation():
     rp = compute_ranks(V)
     assert rp.ll("a", "c") and rp.ll("b", "c")
     assert not rp.ll("a", "b")
-    assert rp.down_set("c") == {"a", "b"}
+    assert rp.below["c"] == {"a", "b"}
     chain_rp = compute_ranks(Poset(["a", "b"], [("a", "b")]), {"b"})
-    assert chain_rp.down_set("b") == set()  # tied rank, so not strictly below
+    assert chain_rp.below["b"] == set()  # tied rank, so not strictly below
     with pytest.raises(UnknownElement):
         rp.rank_of("ghost")
 
