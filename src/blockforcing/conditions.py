@@ -180,13 +180,13 @@ def leq_check(p, q, rp, certs=frozenset(), cache=None):
         for n in fresh:
             lo, hi = new_vals[n - 1], new_vals[n]
             try:
-                found = readable and view.has_block_within(name_old, lo, hi)
+                blk = view.next_block(name_old, lo) if readable else None
             except CannotAdvance as err:
-                found = False
+                blk = None
                 detail = f"old name undecidable on [{lo}, {hi}): {err}"
             else:
                 detail = f"no determined block of the old name inside [{lo}, {hi})"
-            if not found:
+            if blk is None or blk[1] > hi:
                 violations.append(Violation("3b", b, f"index {n}: {detail}"))
 
     for c, b in rp.same_rank_pairs:

@@ -135,9 +135,9 @@ def _separate(ws, a, b, floor_n):
     t_a's last value, until gap number max(floor_n, current length) is
     exposed: a new gap wholly above t_a.  t_a stays untouched: a in that
     down-set, or below anything it reads, would be below b.  Phase
-    two runs a's cascade, floored past the gap's right end.  a is alone
-    on the top level of its down-set, so t_a gains one value there, and
-    every later value of t_a is larger still.  The gap stays clean.
+    two runs a's cascade, floored past the gap's right end: t_a gains
+    one value there, and every later value of t_a is larger still.  The
+    gap stays clean.
     """
     if ws.rp.poset.leq(a, b):
         raise NotIncomparable(f"{a!r} <= {b!r}, nothing to separate")
@@ -148,11 +148,6 @@ def _separate(ws, a, b, floor_n):
     gap = (ws.t[b][gap_index], ws.t[b][gap_index + 1])
     ws.cascade(ws.rp.rank_of(a), top=a, floor=gap[1] + 1)
     return gap_index, gap
-
-
-def make_dominating_name(current, target):
-    merged = MergeName(current, target)
-    return merged, RefinementCertificate(current, merged)
 
 
 def _validate_goals(rp, goals):
@@ -243,9 +238,8 @@ def build_generic(rp, goals, resolution, seed=0):
             info = {"position": position, "bit": bits[position]}
         elif isinstance(goal, DominateGoal):
             current = ws.names[goal.elem]
-            merged, cert = make_dominating_name(current, goal.target)
-            ws.names[goal.elem] = merged
-            certs.add(cert)
+            ws.names[goal.elem] = MergeName(current, goal.target)
+            certs.add(RefinementCertificate(current, ws.names[goal.elem]))
             swap_length = len(ws.t[goal.elem])
             _ladder(ws, up_to=rp.ranks[goal.elem])
             done = True

@@ -61,6 +61,25 @@ class MergeName:
     def __hash__(self):
         return self._hash
 
+    def __eq__(self, other):
+        # The cached hash and depth part most unequal names at once.  Below 64
+        # levels the fields compare recursively; deeper names use a stack.
+        if not isinstance(other, MergeName):
+            return NotImplemented
+        if self._hash != other._hash or self.depth != other.depth:
+            return False
+        if self.depth < 64:
+            return (self.left, self.right) == (other.left, other.right)
+        pending = [(self, other)]
+        while pending:
+            x, y = pending.pop()
+            if isinstance(x, MergeName) and isinstance(y, MergeName):
+                if x is not y:
+                    pending += ((x.right, y.right), (x.left, y.left))
+            elif x != y:
+                return False
+        return True
+
 
 def descriptor(nm):
     """A JSON-ready structural tag for a name."""

@@ -98,6 +98,11 @@ class RankedPoset:
         return {y: frozenset(x for x in elements if self.ll(x, y)) for y in elements}
 
     @cached_property
+    def at_rank(self):
+        """Each rank's elements, sorted."""
+        return {r: sorted(x for x in self.ranks if self.ranks[x] == r) for r in set(self.ranks.values())}
+
+    @cached_property
     def same_rank_pairs(self):
         """Every pair ``(c, b)`` with ``b < c`` at one rank, sorted."""
         return tuple(sorted((c, b) for b, c in self.poset.pairs if self.ranks[b] == self.ranks[c]))

@@ -19,42 +19,27 @@ makes the per-name walk caches safe to keep across a whole run, and
 across the links of a descending chain, whose data only grows.
 
 Same-rank coordinates grow together through the cascade, the one place
-that decides which coordinates grow and in what order.  It grows a
+that decides which coordinates grow and by what value.  It grows a
 rank's whole support slice, or one member and the members below it
-there, running the binary carry schedule over height levels, so its
-cost follows the longest chain inside the slice: a same-rank antichain
-gains one value per member.  A rank's levels depend only on the order,
-so each workspace works them out once, on that rank's first cascade.
-Freshness is local: a new value clears what its own cascade holds, or
-a floor its caller sets, never the whole state, so a coordinate read
-inside a nested merge walk does not overshoot the levels around it.
+there, by one value they all share: the largest of the caller's floor
+and each member's next name-block end.  So a cascade costs one value
+per selected member, whatever the order inside the slice.  Freshness is
+local: the value clears what its own selection holds, or a floor its
+caller sets, never the whole state, so a coordinate read inside a
+nested merge walk does not overshoot the ranks around it.
 """
 
 from bisect import bisect_left
 
 from .errors import CannotAdvance
 from .names import CoordinateName, DiagonalName, GroundName, MergeName
+# Not called here: perfbench/tracing.py counts calls through this name, so it stays bound.
 from .poset import restricted_linear_order
 
 # Two stack frames per merge level: this fits the interpreter's default stack.
 _MAX_NAME_DEPTH = 256
 
 _NO_BITS = ()
-
-
-def cascade_schedule(n):
-    """Append order for n height levels, earliest first.
-
-    Level k enters only after level k-1 produced two fresh values, the
-    same carry pattern binary counting follows: schedule(3) is
-    [0, 0, 1, 0, 0, 1, 2].  Level k fires 2^(n-1-k) times.
-    """
-    if n < 1:
-        raise ValueError(f"need at least one coordinate, got {n}")
-    sched = [0]
-    for k in range(1, n):
-        sched = sched + sched + [k]
-    return sched
 
 
 class Workspace:
@@ -66,7 +51,6 @@ class Workspace:
         self.extend = extend
         self._merge_walks = {}
         self._diag = {}
-        self._levels = {}
 
     @property
     def support(self):
@@ -125,8 +109,8 @@ class Workspace:
     def _next_coordinate(self, nm, lo):
         """The gap of t_a at or past lo, grown by a's cascade floored at lo.
 
-        a, alone on the top level of its down-set, gains one value at or
-        above lo per round, so two rounds pass any lo.
+        Each round of a's cascade gives t_a one value at or above lo, so
+        two rounds pass any lo.
         """
         a = nm.element
         if a not in self.t:
@@ -180,83 +164,42 @@ class Workspace:
                 # of each child, which is the merge's defining property.
                 hs.append(max(block_left[1], block_right[1]))
 
-    def has_block_within(self, nm, lo, hi):
-        blk = self.next_block(nm, lo)
-        return blk is not None and blk[1] <= hi
-
     # -- state growth --
 
-    def append_t(self, b, floor=0):
-        """Append one value to t_b, certifying a name block in the new gap.
-
-        The value is the end of the name's first block at or past t_b's
-        last value, or floor if larger: the new gap holds that block and
-        t_b increases.  Anything else it must clear, the caller floors.
-        """
-        vals = self.t[b]
-        lo = vals[-1] if vals else 0
-        blk = self.next_block(self.names[b], lo)
-        if blk is None:
-            raise CannotAdvance(f"name at {b!r} yields no block past {lo}")
-        value = max(blk[1], floor)
-        vals.append(value)
-        return value
+    def append_t(self, b, value):
+        """Append value to t_b: the one write to a t-sequence."""
+        self.t[b].append(value)
 
     def cascade(self, rank, top=None, floor=0):
-        """Grow the support at rank following the carry schedule.
+        """Grow the support at rank by one value its selection shares.
 
         Every member at rank grows, or with top given only top and the
         members below it there.  Raises ValueError when that selects
         nothing: no support member at rank, or top not among them.
 
-        The schedule runs over height levels: a member is at level 0 when
-        no member lies below it, else one above the highest level below
-        it.  A selection under top is downward closed, so its members
-        keep their levels in the slice.  When a level's turn comes, each
-        of its selected members appends once, in sorted order.  A running
-        mark hi starts at the larger of floor - 1 and the largest last
-        value the selection holds, and each append is floored at hi + 1,
-        so it lands above everything the selection holds (and floor).
-        That is clause 4 of the extension order: take b < c at rank, c
-        grown, so b is selected too and its level is lower than c's.
-        Before a level's first turn, and between two of its turns, every
-        lower level appends at least twice, each time above c's last
-        value.  So each new gap of t_c, including the one opened from a
-        value written by an earlier call, holds two fresh values of t_b,
-        a whole block of b.  Incomparable members need nothing of each
-        other, and share a level's turn; members not selected gain no gap.
+        The value v is the largest of floor and each selected member's
+        first name-block end past its own last value, so every new gap
+        holds a block of its member's name (clause 3b).  Clause 4: take
+        b < c at rank, c grown.  The selection is downward closed at
+        rank, so b grows with c, to the same v, and t_b's last value
+        never falls below t_c's (both start empty).  c's new gap
+        [c_last, v] then holds b's block [b_last, v].
         """
-        table = self._levels.get(rank)
-        if table is None:
-            table = self._levels[rank] = self._level_table(rank)
-        levels = table.get(top)
-        if levels is None:
+        pairs = self.rp.poset.pairs
+        chosen = [
+            x
+            for x in self.rp.at_rank.get(rank, ())
+            if x in self.t and (top is None or x == top or (x, top) in pairs)
+        ]
+        if not chosen or top is not None and top not in chosen:
             raise ValueError(f"nothing to cascade at rank {rank} under {top!r}")
-        hi = max([floor - 1] + [self.t[x][-1] for lv in levels for x in lv if self.t[x]])
-        for idx in cascade_schedule(len(levels)):
-            for x in levels[idx]:
-                hi = self.append_t(x, hi + 1)
-
-    def _level_table(self, rank):
-        """The sorted height levels of the support at rank.
-
-        Keyed None for the whole slice, and by each member for its
-        down-set there.
-        """
-        poset = self.rp.poset
-        members = [y for y in self.t if self.rp.ranks[y] == rank]
-        # A linear extension lists everything below x before x, so one
-        # pass settles every level.
-        level, levels = {}, []
-        for x in restricted_linear_order(poset, members):
-            k = level[x] = max([level[y] + 1 for y in level if poset.lt(y, x)], default=0)
-            if k == len(levels):
-                levels.append([])
-            levels[k].append(x)
-        table = {None: [sorted(lv) for lv in levels]} if members else {}
-        for top in members:
-            table[top] = [
-                sorted(y for y in lv if y == top or poset.lt(y, top))
-                for lv in levels[: level[top] + 1]
-            ]
-        return table
+        value = floor
+        for x in chosen:
+            vals = self.t[x]
+            lo = vals[-1] if vals else 0
+            blk = self.next_block(self.names[x], lo)
+            if blk is None:
+                raise CannotAdvance(f"name at {x!r} yields no block past {lo}")
+            value = max(value, blk[1])
+        for x in chosen:
+            self.append_t(x, value)

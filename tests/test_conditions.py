@@ -205,7 +205,7 @@ def test_clause_3b_reads_the_cohen_prefix():
     assert [(v.clause, v.subject) for v in report.violations] == [("3b", "b")]
 
 
-def _deep_ground_merge(depth):
+def _deep_merge(depth):
     nm = GroundName(0, 1)
     for _ in range(depth):
         nm = MergeName(nm, GroundName(0, 1))
@@ -220,7 +220,7 @@ def _deep_ground_merge(depth):
         # the rank-1 bits disagree inside [1, 3), but rank 1 is c's, not a's
         (V_RP, {0: "", 1: "1111"}, {"a": (1,)}, {"a": (1, 3)}, DiagonalName(ZEROS, 1)),
         # nested far past the walk bound: undecidable, not a RecursionError
-        (compute_ranks(Poset(["a"])), {0: ""}, {"a": (1,)}, {"a": (1, 2)}, _deep_ground_merge(5000)),
+        (compute_ranks(Poset(["a"])), {0: ""}, {"a": (1,)}, {"a": (1, 2)}, _deep_merge(5000)),
     ],
     ids=["coordinate-beside", "diagonal-above", "deep-merge"],
 )
@@ -230,6 +230,33 @@ def test_clause_3b_judges_only_what_lies_below(rp, cohen01, old_t, new_t, name):
     p = _plain(support, cohen01, {**old_t, **new_t}, {"a": name})
     report = leq_check(p, q, rp)
     assert [(v.clause, v.subject) for v in report.violations] == [("3b", "a")]
+
+
+def test_equal_deep_names_link_without_recursion():
+    # equal names nested 5,000 deep that share no node
+    old, new = _deep_merge(5000), _deep_merge(5000)
+    assert old is not new and old == new
+    assert old != _deep_merge(4999) and MergeName(old, GroundName(0, 2)) != new
+    # merges nested on the right compare without recursion too
+    right = [GroundName(0, 1), GroundName(0, 1)]
+    for _ in range(5000):
+        right = [MergeName(GroundName(0, 1), nm) for nm in right]
+    assert right[0] == right[1] and right[0] != MergeName(GroundName(0, 2), right[1].right)
+
+    class Tie:  # every instance hashes alike: only the structure parts them
+        def __hash__(self):
+            return 0
+
+    assert MergeName(old, Tie()) != MergeName(new, Tie())
+
+    q = _plain({"b"}, {0: ""}, {"b": (1,)}, {"b": old})
+    assert leq_check(_plain({"b"}, {0: ""}, {"b": (1,)}, {"b": new}), q, POINT_RP)
+    # a certificate holding yet another copy still links old to the merge
+    merged = MergeName(new, GroundName(0, 2))
+    cert = RefinementCertificate(_deep_merge(5000), merged)
+    p = _plain({"b"}, {0: ""}, {"b": (1,)}, {"b": merged})
+    assert leq_check(p, q, POINT_RP, {cert})
+    assert not leq_check(p, q, POINT_RP)
 
 
 def test_one_cache_serves_a_whole_chain():
@@ -355,13 +382,6 @@ def test_resolve_prefix_stability():
         short = _walk(_empty_ws(), nm, 4)
         long = _walk(_empty_ws(), nm, 9)
         assert long[: len(short)] == short
-
-
-def _deep_merge(depth):
-    nm = GroundName(0, 1)
-    for _ in range(depth):
-        nm = MergeName(nm, GroundName(0, 1))
-    return nm
 
 
 def test_name_depth_guard_holds_after_overflow():

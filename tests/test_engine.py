@@ -32,7 +32,6 @@ from blockforcing.engine import (
     extract_reals_from,
     start_condition,
 )
-from blockforcing.resolution import cascade_schedule
 from conftest import assert_chain_sound, random_poset
 
 
@@ -48,86 +47,49 @@ DIAMOND = compute_ranks(
 )
 
 
-def test_cascade_schedule_frozen():
-    assert cascade_schedule(1) == [0]
-    assert cascade_schedule(3) == [0, 0, 1, 0, 0, 1, 2]
-    with pytest.raises(ValueError):
-        cascade_schedule(0)
-
-
-def test_cascade_schedule_carry_counts():
-    # position j fires as often as bit j flips counting to 2^(n-1)
-    for n in range(1, 9):
-        sched = cascade_schedule(n)
-        assert len(sched) == 2**n - 1
-        for j in range(n):
-            assert sched.count(j) == 2 ** (n - 1 - j)
-
-
 def test_single_cascade_frozen_values():
     ws = workspace_of(start_condition(ANTI_3), ANTI_3)
     ws.cascade(0)
-    # an antichain is one height level: one value per member, sorted order
-    assert ws.t == {"x": [1], "y": [2], "z": [3]}
+    # one round: each member's first ground block ends at 1, and all share it
+    assert ws.t == {"x": [1], "y": [1], "z": [1]}
 
 
 def test_cascade_over_diamond_levels():
     q = start_condition(DIAMOND)
     ws = workspace_of(q, DIAMOND)
-    ws.cascade(0)
-    # levels x | y, z | w run the schedule [0, 0, 1, 0, 0, 1, 2]
-    assert ws.t == {"x": [1, 2, 5, 6], "y": [3, 7], "z": [4, 8], "w": [9]}
-    first = condition_of(ws, DIAMOND)
-    assert leq_check(first, q, DIAMOND)
-    ws.cascade(0, top="w")
-    assert {b: len(v) for b, v in ws.t.items()} == {"x": 8, "y": 4, "z": 4, "w": 2}
-    # w's second gap [9, 18) is the first one clause 4 tests for w
-    assert ws.t["w"] == [9, 18]
-    assert leq_check(condition_of(ws, DIAMOND), first, DIAMOND)
-
-
-def _height_levels(rp, members):
-    # reference: longest chain below x inside its own rank slice
-    def height(x):
-        below = [height(y) for y in members if rp.ranks[y] == rp.ranks[x] and rp.poset.lt(y, x)]
-        return 1 + max(below, default=-1)
-
-    return {x: height(x) for x in members}
+    links = [q]
+    for top in (None, "w", "y", "w"):
+        ws.cascade(0, top=top)
+        links.append(condition_of(ws, DIAMOND))
+        assert leq_check(links[-1], links[-2], DIAMOND)
+    # rounds: all at 1; all at 2 (w's first gap [1, 2] shares its ends with
+    # x's, y's and z's blocks); x, y at 3 (z and w untouched); all at 4
+    assert ws.t == {"x": [1, 2, 3, 4], "y": [1, 2, 3, 4], "z": [1, 2, 4], "w": [1, 2, 4]}
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000), st.integers(0, 5))
-def test_level_cascade_property(seed, top_index):
+@given(st.integers(0, 10_000), st.integers(0, 5), st.integers(0, 40))
+def test_level_cascade_property(seed, top_index, floor):
     poset = random_poset(seed)
     rp = compute_ranks(poset, poset.maximal_elements())
-    level = _height_levels(rp, poset.elements)
-    levels_at = {
-        r: 1 + max(level[x] for x in poset.elements if rp.ranks[x] == r)
-        for r in set(rp.ranks.values())
-    }
-    prev = start_condition(rp)
-    ws = workspace_of(prev, rp)
-    for _ in range(3):
-        before = {b: len(v) for b, v in ws.t.items()}
-        _ladder(ws)
-        for x in poset.elements:
-            gained = len(ws.t[x]) - before[x]
-            assert gained == 2 ** (levels_at[rp.ranks[x]] - 1 - level[x])
-        p = condition_of(ws, rp)
-        report = leq_check(p, prev, rp)
-        assert report.ok, report.violations
-        prev = p
-    # top= grows exactly top's same-rank down-set, top on the last level
     elements = sorted(poset.elements)
     top = elements[top_index % len(elements)]
-    rank = rp.ranks[top]
-    cone = {y for y in elements if rp.ranks[y] == rank and (y == top or poset.lt(y, top))}
-    for _ in range(2):
-        before = {b: len(v) for b, v in ws.t.items()}
-        ws.cascade(rank, top=top)
+    # three ladders of whole slices, then top's same-rank down-set twice
+    rounds = [(r, None) for r in sorted(set(rp.ranks.values()))] * 3 + [(rp.ranks[top], top)] * 2
+    prev = start_condition(rp)
+    ws = workspace_of(prev, rp)
+    for rank, sel in rounds:
+        chosen = [
+            x for x in elements if rp.ranks[x] == rank and (sel is None or poset.leq(x, sel))
+        ]
+        before = {b: list(v) for b, v in ws.t.items()}
+        ws.cascade(rank, top=sel, floor=floor)
         for x in elements:
-            gained = len(ws.t[x]) - before[x]
-            assert gained == (2 ** (level[top] - level[x]) if x in cone else 0)
+            assert ws.t[x][: len(before[x])] == before[x]
+            assert len(ws.t[x]) - len(before[x]) == (1 if x in chosen else 0)
+        (value,) = {ws.t[x][-1] for x in chosen}
+        assert value >= floor
+        assert all(value > last for x in chosen for last in before[x])
         p = condition_of(ws, rp)
         report = leq_check(p, prev, rp)
         assert report.ok, report.violations
@@ -135,10 +97,11 @@ def test_level_cascade_property(seed, top_index):
 
 
 def _antichain_max_t(n, min_length=12, repeats=3):
-    # The ladder leaves e_i's last value at (min_length - 1) * n + 1 + i.
-    # Separating (a, b) opens its gap at g, one past the larger of their
-    # last values: t_b gains g and g + 1, then t_a gains g + 2.
-    last = [(min_length - 1) * n + 1 + i for i in range(n)]
+    # Each ladder round gives the whole antichain one shared value, so
+    # every e_i ends the ladder at min_length.  Separating (a, b) opens
+    # its gap at g, one past the larger of their last values: t_b gains
+    # g and g + 1, then t_a gains g + 2.
+    last = [min_length] * n
     for a in range(n):
         for b in range(n):
             for _ in range(repeats if a != b else 0):
@@ -157,7 +120,7 @@ def test_antichain_growth_is_polynomial():
         assert tops[-1] == _antichain_max_t(n)
         # the start, 12 ladder links, then 3 separations per ordered pair
         assert len(run.chain) == 3 * n * (n - 1) + 13
-    assert tops == [42, 88, 144, 217, 300, 400, 510]
+    assert tops == [30, 65, 110, 172, 244, 333, 432]
 
 
 def test_chain_growth_is_quadratic():
@@ -171,6 +134,19 @@ def test_chain_growth_is_quadratic():
         assert iso.ok and cov.ok
         top = max(seq.values[-1] for seq in run.derived.dominating.values())
         assert top == 5 * n * n - 7 * n + 16
+
+
+def test_same_rank_chain_growth_is_quadratic():
+    # only the top is cofinal, so the whole chain ties at rank 0 and every
+    # cascade is one round over a same-rank chain
+    for n in range(2, 11):
+        elements = [f"e{i}" for i in range(n)]
+        relations = [[x, y] for i, x in enumerate(elements) for y in elements[i + 1:]]
+        poset = {"elements": elements, "relations": relations, "cofinal_set": [elements[-1]]}
+        run, iso, cov = run_scenario(Scenario.from_json({"poset": poset}))
+        assert iso.ok and cov.ok
+        top = max(seq.values[-1] for seq in run.derived.dominating.values())
+        assert top == 9 * n * (n - 1) // 2 + 12
 
 
 def test_cascade_rejects_empty_selection():
@@ -201,8 +177,8 @@ def test_ladder_extend_single_coordinate():
 def test_ladder_runs_lower_ranks_first():
     ws = _start_ws(V_RP)
     _ladder(ws, up_to=1)
-    # the rank-0 slice cascaded once; c clears only its own rank's slice
-    assert ws.t == {"a": [1], "b": [2], "c": [1]}
+    # a and b share rank 0's one value; c's cascade selects c alone
+    assert ws.t == {"a": [1], "b": [1], "c": [1]}
 
 
 def test_ladder_extend_random_posets():
@@ -261,8 +237,9 @@ def test_separation_above_same_rank_comparable():
     run = build_generic(TIED_CHAIN, [IncomparableGoal("b", "a", 0)], 64)
     assert run.ledger[0].info == {"index": 0, "block": [1, 2]}
     last = run.chain[-1]
-    assert tuple(last.coords["a"].t) == (1, 2, 3, 4)
-    assert tuple(last.coords["b"].t) == (5,)
+    # b's cascade selects a too: both take the floor 3, past the gap
+    assert tuple(last.coords["a"].t) == (1, 2, 3)
+    assert tuple(last.coords["b"].t) == (3,)
     assert_chain_sound(run)
 
 

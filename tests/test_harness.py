@@ -332,7 +332,7 @@ CHAIN_4 = ["a", "b", "c", "d"]
 FROZEN_REPORTS = {
     "v-demo": (
         None,
-        "77044711014d113bbcfe0528594cd7b11c5ca19838d7f918b7bde3541f66cc94",
+        "0a7e4a1f96dcbd008a2513a8df57bafdf9accb9e204cf98e3a1da5e0984dbafb",
     ),
     "chain-4": (
         {
@@ -346,11 +346,11 @@ FROZEN_REPORTS = {
     ),
     "antichain-4": (
         {"poset": {"elements": CHAIN_4}, "ground_reals": ["periodic:01"]},
-        "bc456eaa21e99f134ec999035de71d3fac188b314f55fc1839000e9c55823978",
+        "166cb129362596eca1cfcc173b5af2c2f983addcf4ece7e5018b8b052c091af9",
     ),
     "tied-variant": (
         {"poset": TIED_JSON, "ground_reals": ["zeros"], "question_variant": True},
-        "36acf3df121899be1b28ee4abdfb86ae27de1c821e46c47211215a472e625728",
+        "59e6f954da2853c1ee2b3c62d7b7093b2555d46885886a8cf01dd1341c08ca84",
     ),
 }
 
