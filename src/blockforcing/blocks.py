@@ -8,11 +8,18 @@ down to a :class:`Window`: a threshold where judging starts and a limit
 beyond which nothing is judged.  Every comparison returns the set of
 violating indices instead of a bare boolean, so a caller can tell a
 violation before the threshold from one inside the judged range.
+
+Block-level work reads plain tuples (``IncSeq.values``, ``BitSeq.bits``,
+or a caller's list or tuple converted once) and compares a block as one
+slice, ``z[lo:hi] == x[lo:hi]``, instead of bit by bit.  Words are
+converted to tuples before slicing, so a list never meets a tuple in a
+comparison.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations
+from operator import index, lt
 
 from .errors import (
     EmptySequence,
@@ -23,6 +30,27 @@ from .errors import (
 )
 
 
+_BIT_VALUES = frozenset((0, 1))
+
+
+def _integers(values):
+    """values as a tuple of ints: a bool becomes 0 or 1, a float or string is rejected."""
+    vals = tuple(values)
+    try:
+        return tuple(map(index, vals))
+    except TypeError as err:
+        raise ValueError(f"entries must be integers: {err}") from None
+
+
+def _tuple(seq):
+    """The entries of seq as a tuple; IncSeq and BitSeq hand over their own."""
+    if isinstance(seq, IncSeq):
+        return seq.values
+    if isinstance(seq, BitSeq):
+        return seq.bits
+    return tuple(seq)
+
+
 @dataclass(frozen=True, init=False)
 class IncSeq:
     """A finite, strictly increasing sequence of naturals."""
@@ -30,12 +58,14 @@ class IncSeq:
     values: tuple
 
     def __init__(self, values=()):
-        vals = tuple(int(v) for v in values)
-        for i, v in enumerate(vals):
-            if v < 0:
-                raise ValueError(f"negative entry {v} at index {i}")
-            if i and vals[i - 1] >= v:
-                raise ValueError(f"not strictly increasing at index {i}: {vals[i - 1]} >= {v}")
+        vals = _integers(values)
+        if vals and (vals[0] < 0 or not all(map(lt, vals, vals[1:]))):
+            # Only a rejected sequence pays for finding its first offender.
+            for i, v in enumerate(vals):
+                if v < 0:
+                    raise ValueError(f"negative entry {v} at index {i}")
+                if i and vals[i - 1] >= v:
+                    raise ValueError(f"not strictly increasing at index {i}: {vals[i - 1]} >= {v}")
         object.__setattr__(self, "values", vals)
 
     def __len__(self):
@@ -66,8 +96,8 @@ class BitSeq:
     bits: tuple
 
     def __init__(self, bits=()):
-        vals = tuple(int(b) for b in bits)
-        if any(b not in (0, 1) for b in vals):
+        vals = _integers(bits)
+        if not _BIT_VALUES.issuperset(vals):
             raise ValueError("bits must be 0 or 1")
         object.__setattr__(self, "bits", vals)
 
@@ -100,18 +130,14 @@ class Window:
             raise ValueError(f"need 0 <= start <= limit, got ({self.start}, {self.limit})")
 
 
-def _judged_refine_indices(f, g, w):
+def _judged_refine_indices(fv, gv, w):
     # g-block n is judged when it lies past the index threshold and its
-    # right endpoint is covered by both the window and f's range.
-    if len(f) == 0 or len(g) == 0:
+    # right endpoint is covered by both the window and f's range; g
+    # increases, so the judged blocks are one run of indices.
+    if not fv or not gv:
         raise EmptySequence("refinement needs nonempty sequences")
-    cap = min(w.limit, f.last)
-    out = []
-    for n in range(w.start, len(g) - 1):
-        if g[n + 1] > cap:
-            break
-        out.append(n)
-    return out
+    cap = min(w.limit, fv[-1])
+    return range(w.start, bisect_right(gv, cap) - 1)
 
 
 def refines_at(f, g, w):
@@ -120,10 +146,11 @@ def refines_at(f, g, w):
     Empty result means f block-refines g on the window: every judged
     block [g(n), g(n+1)) contains some [f(k), f(k+1)).
     """
+    fv, gv = _tuple(f), _tuple(g)
     out = set()
-    for n in _judged_refine_indices(f, g, w):
-        k = bisect_left(f.values, g[n])
-        if k + 1 >= len(f) or f[k + 1] > g[n + 1]:
+    for n in _judged_refine_indices(fv, gv, w):
+        k = bisect_left(fv, gv[n])
+        if k + 1 >= len(fv) or fv[k + 1] > gv[n + 1]:
             out.add(n)
     return out
 
@@ -148,14 +175,18 @@ def e_member(z, x, f, m, w):
     explicit ``m``.  Requires f to fit under the limit and both words to
     cover f's range.  Vacuously true when no block is judged.
     """
-    if len(f) == 0:
+    fv = _tuple(f)
+    if not fv:
         raise EmptySequence("membership needs a nonempty block sequence")
-    if f.last > w.limit:
-        raise LengthTooShort(f"blocks reach {f.last}, past the window limit {w.limit}")
-    if len(z) < f.last or len(x) < f.last:
-        raise LengthTooShort(f"words must cover positions below {f.last}")
-    for n in range(m, len(f) - 1):
-        if all(z[j] == x[j] for j in range(f[n], f[n + 1])):
+    last = fv[-1]
+    if last > w.limit:
+        raise LengthTooShort(f"blocks reach {last}, past the window limit {w.limit}")
+    zv, xv = _tuple(z), _tuple(x)
+    if len(zv) < last or len(xv) < last:
+        raise LengthTooShort(f"words must cover positions below {last}")
+    for n in range(m, len(fv) - 1):
+        lo, hi = fv[n], fv[n + 1]
+        if zv[lo:hi] == xv[lo:hi]:
             return False
     return True
 
@@ -179,13 +210,15 @@ def non_subset_witness(x, y, f, g, w):
         raise InsufficientViolations(
             f"need 2 non-adjacent violating blocks, found {len(chosen)}"
         )
+    gv = g.values
     need = max(f.last, g.last)
-    if len(x) < need or len(y) < need:
+    xv, yv = _tuple(x), _tuple(y)
+    if len(xv) < need or len(yv) < need:
         raise LengthTooShort(f"reference words must cover positions below {need}")
-    z = [1 - x[j] for j in range(need)]
+    z = [1 - b for b in xv[:need]]
     for n in chosen:
-        for j in range(g[n], g[n + 1]):
-            z[j] = y[j]
+        lo, hi = gv[n], gv[n + 1]
+        z[lo:hi] = yv[lo:hi]
     return BitSeq(z)
 
 
@@ -217,7 +250,7 @@ def remark_counterexamples(bound):
                         refining_only is None
                         and not violations
                         and star
-                        and _judged_refine_indices(f, g, w_ref)
+                        and _judged_refine_indices(fv, gv, w_ref)
                     ):
                         refining_only = (f, g)
                     if pointwise_only and refining_only:

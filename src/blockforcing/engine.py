@@ -189,6 +189,11 @@ def _validate_goals(rp, goals):
 def build_generic(rp, goals, resolution, seed=0):
     """Serve every goal within the step budget, verifying each link.
 
+    Goals are served from a cursor at the first unmet goal; goals before
+    it are all met.  Before each step, the unmet length goals (kept as
+    their own index list) are checked for having come for free, in goal
+    order, so the ledger is the same as a full rescan would give.
+
     Raises ResolutionExhausted (listing unmet goal indices) when the
     budget runs out first.  Fully deterministic; the seed is only
     recorded, so reports can tie derived data back to the scenario that
@@ -204,26 +209,32 @@ def build_generic(rp, goals, resolution, seed=0):
     certs = set()
     ledger = []
     met = [False] * len(goals)
+    lengths = [i for i, goal in enumerate(goals) if isinstance(goal, LengthGoal)]
+    cursor = 0
     check_cache = {}
     steps = 0
 
     while True:
-        for i, goal in enumerate(goals):
-            # Length goals can come for free when other steps grew the
-            # sequence already; record them without spending the budget.
-            if not met[i] and isinstance(goal, LengthGoal) and len(ws.t[goal.elem]) >= goal.n:
+        # Length goals can come for free when other steps grew the
+        # sequence already; record them without spending the budget.
+        lengths = [i for i in lengths if not met[i]]
+        for i in lengths:
+            have = len(ws.t[goals[i].elem])
+            if have >= goals[i].n:
                 met[i] = True
-                ledger.append(LedgerEntry(i, len(chain) - 1, {"length": len(ws.t[goal.elem])}))
-        pending = [i for i, done in enumerate(met) if not done]
-        if not pending:
+                ledger.append(LedgerEntry(i, len(chain) - 1, {"length": have}))
+        while cursor < len(goals) and met[cursor]:
+            cursor += 1
+        if cursor == len(goals):
             break
         if steps >= resolution:
+            unmet = tuple(i for i in range(cursor, len(goals)) if not met[i])
             raise ResolutionExhausted(
-                f"budget of {resolution} steps spent with {len(pending)} goals unmet",
-                unmet=tuple(pending),
+                f"budget of {resolution} steps spent with {len(unmet)} goals unmet",
+                unmet=unmet,
             )
         steps += 1
-        i = pending[0]
+        i = cursor
         goal = goals[i]
 
         if isinstance(goal, LengthGoal):

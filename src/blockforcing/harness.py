@@ -9,7 +9,9 @@ must disagree with every registered pattern inside every late block of
 every maximal coordinate.  The audits take the engine's ledger (its
 domination thresholds and recorded gaps) as claims only, and re-check
 each one with the finite combinatorics layer, so they would catch the
-engine lying.
+engine lying.  The order audit compares whole blocks as tuple slices,
+and every witness word it builds is still re-checked: it must disagree
+with x in every judged block of t_a and copy y on two blocks of t_b.
 """
 
 import json
@@ -230,10 +232,11 @@ def _padded(bits, length):
 
 def _gap_is_clean(d_a, d_b, index, block):
     lo, hi = block
-    if index + 1 >= len(d_b) or d_b[index] != lo or d_b[index + 1] != hi:
+    av, bv = d_a.values, d_b.values
+    if index + 1 >= len(bv) or bv[index] != lo or bv[index + 1] != hi:
         return False
-    i = bisect_right(d_a.values, lo)
-    return i == len(d_a) or d_a[i] >= hi
+    i = bisect_right(av, lo)
+    return i == len(av) or av[i] >= hi
 
 
 def _witness_evidence(run, a, b, d_a, d_b):
@@ -247,7 +250,8 @@ def _witness_evidence(run, a, b, d_a, d_b):
         z = non_subset_witness(x, y, d_a, d_b, w)
     except (InsufficientViolations, LengthTooShort) as err:
         return {"witness_valid": False, "witness_note": str(err)}
-    agreeing = sum(1 for lo, hi in d_b.blocks() if z.bits[lo:hi] == y[lo:hi])
+    zv, bv = z.bits, d_b.values
+    agreeing = sum(zv[lo:hi] == y[lo:hi] for lo, hi in zip(bv, bv[1:]))
     valid = e_member(z, x, d_a, 0, w) and agreeing >= 2
     return {"witness_valid": bool(valid), "witness_agreeing_blocks": agreeing}
 

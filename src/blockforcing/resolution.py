@@ -42,6 +42,10 @@ _MAX_NAME_DEPTH = 256
 _NO_BITS = ()
 
 
+def _last(vals):
+    return vals[-1] if vals else -1
+
+
 class Workspace:
     def __init__(self, rp, cohen, t, names, extend=True):
         self.rp = rp
@@ -174,16 +178,19 @@ class Workspace:
         """Grow the support at rank by one value its selection shares.
 
         Every member at rank grows, or with top given only top and the
-        members below it there.  Raises ValueError when that selects
-        nothing: no support member at rank, or top not among them.
+        members below it there.  Raises ValueError, before writing
+        anything, when that selects nothing (no support member at rank,
+        or top not among them) or when a selected b < c ends before c.
 
         The value v is the largest of floor and each selected member's
         first name-block end past its own last value, so every new gap
         holds a block of its member's name (clause 3b).  Clause 4: take
         b < c at rank, c grown.  The selection is downward closed at
-        rank, so b grows with c, to the same v, and t_b's last value
-        never falls below t_c's (both start empty).  c's new gap
-        [c_last, v] then holds b's block [b_last, v].
+        rank, so b grows with c, to the same v.  c's new gap [c_last, v]
+        holds b's block [b_last, v] exactly when b_last >= c_last.  The
+        engine keeps that from its empty start on, since b grows
+        whenever c does; a workspace built from any other condition may
+        not, and is refused.
         """
         pairs = self.rp.poset.pairs
         chosen = [
@@ -193,6 +200,13 @@ class Workspace:
         ]
         if not chosen or top is not None and top not in chosen:
             raise ValueError(f"nothing to cascade at rank {rank} under {top!r}")
+        if len(chosen) > 1 and self.rp.same_rank_pairs:
+            selected = set(chosen)
+            for c, b in self.rp.same_rank_pairs:
+                if c in selected and b in selected and _last(self.t[b]) < _last(self.t[c]):
+                    raise ValueError(
+                        f"{b!r} < {c!r} at rank {rank}, but t at {b!r} ends before t at {c!r}"
+                    )
         value = floor
         for x in chosen:
             vals = self.t[x]

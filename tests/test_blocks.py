@@ -83,11 +83,45 @@ def test_bit_seq_validation():
         BitSeq([0, 2])
 
 
+@pytest.mark.parametrize(
+    "make, entries",
+    [
+        (BitSeq, [0.7, 1.2]),
+        (BitSeq, ["1", "0"]),
+        (IncSeq, [1.5, 2.9]),
+        (IncSeq, ["3", "10"]),
+    ],
+)
+def test_containers_reject_non_integer_entries(make, entries):
+    # no truncation and no parsing: a float or a string is not an entry
+    with pytest.raises(ValueError):
+        make(entries)
+
+
+def test_containers_convert_bools():
+    assert BitSeq([True, False]).bits == (1, 0)
+    assert IncSeq([False, True, 4]).values == (0, 1, 4)
+
+
 def test_window_validation():
     with pytest.raises(ValueError):
         Window(3, 2)
     with pytest.raises(ValueError):
         Window(-1, 5)
+
+
+# Callers hand the block functions lists, tuples or the package's own
+# containers; block slices must compare equal whatever they came in.
+def _container(kind, entries):
+    if kind == "list":
+        return list(entries)
+    if kind == "tuple":
+        return tuple(entries)
+    return BitSeq(entries) if kind == "bits" else IncSeq(entries)
+
+
+word_kinds = st.sampled_from(["list", "tuple", "bits"])
+seq_kinds = st.sampled_from(["list", "tuple", "inc"])
 
 
 # -- refinement --
@@ -112,9 +146,9 @@ def test_refines_frozen_examples():
         refines_at(IncSeq(), IncSeq([0, 1]), Window(0, 4))
 
 
-@given(inc_seqs, inc_seqs, windows)
-def test_refines_matches_oracle(f, g, w):
-    assert refines_at(f, g, w) == oracle_refine_violations(f, g, w)
+@given(inc_seqs, inc_seqs, windows, seq_kinds)
+def test_refines_matches_oracle(f, g, w, g_kind):
+    assert refines_at(f, _container(g_kind, g), w) == oracle_refine_violations(f, g, w)
 
 
 @given(inc_seqs, st.data())
@@ -189,10 +223,13 @@ def test_e_member_frozen():
     st.lists(st.integers(0, 1), min_size=12, max_size=12),
     st.lists(st.integers(0, 12), min_size=2, max_size=6, unique=True),
     st.integers(0, 4),
+    word_kinds,
+    word_kinds,
 )
-def test_e_member_matches_oracle(z, x, fv, m):
+def test_e_member_matches_oracle(z, x, fv, m, z_kind, x_kind):
     f = IncSeq(sorted(fv))
-    assert e_member(z, x, f, m, Window(0, 12)) == oracle_e_member(z, x, f, m)
+    got = e_member(_container(z_kind, z), _container(x_kind, x), f, m, Window(0, 12))
+    assert got == oracle_e_member(z, x, f, m)
 
 
 @given(
@@ -308,6 +345,29 @@ def test_witness_random_instances():
         )
         assert agreeing >= 2
         built += 1
+
+
+@given(inc_seqs, inc_seqs, word_kinds, word_kinds, st.data())
+def test_witness_checked_by_oracles_on_any_container(f, g, x_kind, y_kind, data):
+    w = Window(0, 40)
+    need = max(f.last, g.last)
+    bits = st.lists(st.integers(0, 1), min_size=need, max_size=need)
+    x, y = data.draw(bits), data.draw(bits)
+    chosen = _greedy_non_adjacent(oracle_refine_violations(f, g, w))
+    args = (_container(x_kind, x), _container(y_kind, y), f, g, w)
+    if len(chosen) < 2:
+        with pytest.raises(InsufficientViolations):
+            non_subset_witness(*args)
+        return
+    z = non_subset_witness(*args)
+    assert len(z) == need
+    # disagrees with x inside every f-block ...
+    assert oracle_e_member(z, x, f, 0)
+    # ... and equals y throughout two g-blocks with a gap between them
+    agreeing = [
+        n for n in range(len(g) - 1) if all(z[j] == y[j] for j in range(g[n], g[n + 1]))
+    ]
+    assert any(later > first + 1 for first in agreeing for later in agreeing)
 
 
 # -- the separating certificate search --

@@ -25,7 +25,7 @@ from blockforcing import (
     leq_check,
     run_scenario,
 )
-from blockforcing.conditions import condition_of, workspace_of
+from blockforcing.conditions import Condition, CoordPart, condition_of, workspace_of
 from blockforcing.engine import (
     _ladder,
     _separate,
@@ -158,6 +158,26 @@ def test_cascade_rejects_empty_selection():
     with pytest.raises(ValueError):
         ws.cascade(0, top="ghost")
     assert ws.t == {"a": [], "b": [], "c": []}
+
+
+def test_cascade_refuses_a_lower_member_that_ends_first():
+    # a < b tie at rank 0, but t_a ends below t_b: one shared value would
+    # give b the gap [5, 6), which holds no whole block of t_a (clause 4)
+    q = Condition(
+        cohen={0: ()},
+        coords={"a": CoordPart((1,), GroundName(0, 1)), "b": CoordPart((5,), GroundName(0, 1))},
+    )
+    ws = workspace_of(q, TIED_CHAIN)
+    with pytest.raises(ValueError):
+        ws.cascade(0, top="b")
+    with pytest.raises(ValueError):
+        ws.cascade(0)
+    assert ws.t == {"a": [1], "b": [5]}
+    # a alone is no pair, so it still grows; once it has caught up, so does b
+    ws.cascade(0, top="a", floor=5)
+    ws.cascade(0, top="b")
+    assert ws.t == {"a": [1, 5, 6], "b": [5, 6]}
+    assert leq_check(condition_of(ws, TIED_CHAIN), q, TIED_CHAIN)
 
 
 def _start_ws(rp):
@@ -295,6 +315,52 @@ def test_budget_exhaustion_lists_unmet_goals():
     assert len(run.derived.dominating["a"]) == 50
     with pytest.raises(ValueError):
         build_generic(POINT, [], 0)
+
+
+def _interleaved_goals():
+    return [
+        DominateGoal("c", CoordinateName("a")),
+        LengthGoal("b", 1),
+        IncomparableGoal("a", "b", 0),
+        LengthGoal("a", 7),
+        LengthGoal("c", 2),
+        IncomparableGoal("b", "a", 1),
+        LengthGoal("a", 0),
+        DominateGoal("c", CoordinateName("b")),
+        LengthGoal("b", 5),
+        LengthGoal("c", 6),
+        IncomparableGoal("a", "b", 4),
+    ]
+
+
+def test_ledger_follows_goal_order_past_free_length_goals():
+    # Goal 6 is met before any step, behind five unmet goals.  Goals 4
+    # and 8 come for free while goal 3, before them, is served by ladder
+    # steps (links 3 to 6), and 8 is met ahead of the unmet 5 and 7.
+    # Goal 9 comes for free from goal 7's swap ladder.
+    run = build_generic(V_RP, _interleaved_goals(), 64)
+    assert [(e.goal_index, e.met_at, e.info) for e in run.ledger] == [
+        (6, 0, {"length": 0}),
+        (0, 1, {"swap_length": 0, "block_threshold": 0}),
+        (1, 1, {"length": 1}),
+        (2, 2, {"index": 1, "block": [3, 4]}),
+        (4, 3, {"length": 2}),
+        (8, 4, {"length": 5}),
+        (3, 6, {"length": 7}),
+        (5, 7, {"index": 7, "block": [10, 11]}),
+        (7, 8, {"swap_length": 5, "block_threshold": 4}),
+        (9, 8, {"length": 6}),
+        (10, 9, {"index": 9, "block": [14, 15]}),
+    ]
+    assert_chain_sound(run)
+
+
+def test_budget_exhaustion_mid_list_lists_unmet_goals():
+    # four steps: goal 3 is being served, goal 8 past it is met for free,
+    # and the unmet goals on both sides of 8 are listed in goal order
+    with pytest.raises(ResolutionExhausted) as exc:
+        build_generic(V_RP, _interleaved_goals(), 4)
+    assert exc.value.unmet == (3, 5, 7, 9, 10)
 
 
 def test_runs_are_deterministic():
