@@ -127,7 +127,9 @@ def _cmd_run(args):
     try:
         run, iso, cov = run_scenario(sc)
     except ResolutionExhausted as err:
-        print(f"budget exhausted: {err} (unmet goal indices {list(err.unmet)})", file=sys.stderr)
+        # A budget refused before the goals were built has no indices to list.
+        unmet = list(err.unmet) if err.unmet else "not listed"
+        print(f"budget exhausted: {err} (unmet goal indices {unmet})", file=sys.stderr)
         return 1
     except CannotAdvance as err:
         print(f"cannot advance: {err}", file=sys.stderr)

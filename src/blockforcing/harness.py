@@ -29,7 +29,7 @@ from .engine import (
     build_generic,
     goal_descriptor,
 )
-from .errors import InsufficientViolations, LengthTooShort, SpecError
+from .errors import InsufficientViolations, LengthTooShort, ResolutionExhausted, SpecError
 from .names import CoordinateName, DiagonalName
 from .patterns import GroundReal
 from .poset import Poset, compute_ranks, dump_poset, load_poset
@@ -170,6 +170,27 @@ def build_goals(rp, reals, plan):
                     for _ in range(plan.violations_per_incomparable_pair)
                 )
     return tuple(goals)
+
+
+def _paid_goal_count(rp, reals, plan):
+    """How many goals ``build_goals`` makes that cost a step each, counted
+    without building them.
+
+    Every goal but a length goal is met by exactly one step, so a budget
+    below this count cannot be met whatever the engine does.  The terms
+    follow ``build_goals``: dominations by a coordinate below in both order
+    and rank, dominations by a pattern, Cohen disagreements, separations.
+    """
+    n = len(rp.poset.elements)
+    pairs = rp.poset.pairs
+    strictly_below = sum(rp.ranks[a] < rp.ranks[b] for a, b in pairs)
+    ranks = len(set(rp.ranks.values()))
+    return (
+        strictly_below * plan.dominate_pairs
+        + len(reals) * n
+        + ranks * len(reals) * plan.disagreements_per_real
+        + (n * (n - 1) - len(pairs)) * plan.violations_per_incomparable_pair
+    )
 
 
 @dataclass(frozen=True)
@@ -374,6 +395,12 @@ def check_coverage(run, sc):
 def run_scenario(sc):
     rp = compute_ranks(sc.poset, sc.cofinal)
     reals = tuple(GroundReal(spec, sc.seed) for spec in sc.ground_reals)
+    paid = _paid_goal_count(rp, reals, sc.plan)
+    if paid > sc.resolution:
+        raise ResolutionExhausted(
+            f"the plan has {paid} goals that take a step each, "
+            f"over the budget of {sc.resolution} steps"
+        )
     goals = build_goals(rp, reals, sc.plan)
     run = build_generic(rp, goals, sc.resolution, seed=sc.seed)
     iso = check_isomorphism(run, question_variant=sc.question_variant)

@@ -17,7 +17,7 @@ a pure function of ``(seed, n, j)``, so prefixes agree across platforms
 and across calls regardless of evaluation order.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import SpecError
 
@@ -34,39 +34,46 @@ def _splitmix64(z):
 
 @dataclass(frozen=True)
 class GroundReal:
-    """An infinite bit sequence named by a spec string."""
+    """An infinite bit sequence named by a spec string.
+
+    The spec is parsed once, here: a constant or periodic kind becomes its
+    repeating word of bits, a seeded kind its mixed seed and tag, so
+    ``bit`` reads no string.
+    """
 
     spec: str
     seed: int = 0
+    # One period of bits, or None for the seeded kind, which mixes _mix instead.
+    _word: tuple = field(init=False, repr=False, compare=False)
+    _mix: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kind = self.spec
+        word, mix = None, None
         if kind in ("zeros", "ones"):
-            return
-        if kind.startswith("periodic:"):
-            word = kind[len("periodic:"):]
-            if not word or any(ch not in "01" for ch in word):
-                raise SpecError(f"periodic word must be a nonempty 0/1 string, got {word!r}")
-            return
-        if kind.startswith("seeded-random:"):
-            tag = kind[len("seeded-random:"):]
+            word = (int(kind == "ones"),)
+        elif kind.startswith("periodic:"):
+            text = kind[len("periodic:"):]
+            if not text or any(ch not in "01" for ch in text):
+                raise SpecError(f"periodic word must be a nonempty 0/1 string, got {text!r}")
+            word = tuple(int(ch) for ch in text)
+        elif kind.startswith("seeded-random:"):
+            text = kind[len("seeded-random:"):]
             # str.isdigit also admits superscripts and non-ASCII digits
-            if not (tag.isascii() and tag.isdigit()):
-                raise SpecError(f"seeded-random tag must be a number, got {tag!r}")
-            return
-        raise SpecError(f"unknown pattern spec {self.spec!r}")
+            if not (text.isascii() and text.isdigit()):
+                raise SpecError(f"seeded-random tag must be a number, got {text!r}")
+            mix = (_splitmix64(self.seed & _MASK), int(text) << 32)
+        else:
+            raise SpecError(f"unknown pattern spec {self.spec!r}")
+        object.__setattr__(self, "_word", word)
+        object.__setattr__(self, "_mix", mix)
 
     def bit(self, j):
         """The bit at position ``j`` (``j >= 0``)."""
         if j < 0:
             raise IndexError(f"negative position {j}")
-        if self.spec == "zeros":
-            return 0
-        if self.spec == "ones":
-            return 1
-        if self.spec.startswith("periodic:"):
-            word = self.spec[len("periodic:"):]
-            return int(word[j % len(word)])
-        tag = int(self.spec[len("seeded-random:"):])
-        mixed = _splitmix64(_splitmix64(self.seed & _MASK) ^ _splitmix64((tag << 32) ^ j))
-        return mixed & 1
+        word = self._word
+        if word is not None:
+            return word[j % len(word)]
+        key, tag = self._mix
+        return _splitmix64(key ^ _splitmix64(tag ^ j)) & 1

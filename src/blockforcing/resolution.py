@@ -13,10 +13,17 @@ check runs in, since a statement is only forced when the data already
 decides it.  Such a view never writes, so the order check points one
 at each link's own tuples in turn.
 
-All block queries are prefix-stable: growing the state never changes an
-answer already given, it only turns None into a block.  That is what
-makes the per-name walk caches safe to keep across a whole run, and
-across the links of a descending chain, whose data only grows.
+Every name that reads the state reads one increasing list of block
+boundaries: t_a itself for a coordinate name, and a walk the workspace
+caches for a diagonal or merge name.  A block is two consecutive
+boundaries, and a walk grows one boundary at a time, only when a query
+runs past its end.  A diagonal walk compares a bit with its pattern once,
+where it reads it; a flip it writes is recorded as a boundary where it
+is written, never rescanned.  All block queries are prefix-stable:
+growing the state never changes an answer already given, it only turns
+None into a block.  That is what makes the walks safe to keep across a
+whole run, and across the links of a descending chain, whose data only
+grows.
 
 Same-rank coordinates grow together through the cascade, the one place
 that decides which coordinates grow and by what value.  It grows a
@@ -39,8 +46,6 @@ from .poset import restricted_linear_order
 # Two stack frames per merge level: this fits the interpreter's default stack.
 _MAX_NAME_DEPTH = 256
 
-_NO_BITS = ()
-
 
 def _last(vals):
     return vals[-1] if vals else -1
@@ -53,120 +58,100 @@ class Workspace:
         self.t = {b: list(vals) for b, vals in t.items()}
         self.names = dict(names)
         self.extend = extend
-        self._merge_walks = {}
-        self._diag = {}
+        self._walks = {}
 
     @property
     def support(self):
         """The coordinates present: the keys of t."""
         return self.t.keys()
 
-    # -- primitive state access --
-
-    def _cohen_list(self, rank):
-        if self.extend:
-            return self.cohen.setdefault(rank, [])
-        return self.cohen.get(rank, _NO_BITS)
-
-    def _disagreements(self, rank, pattern):
-        # Incremental scan; positions only ever gain entries at the end.
-        v = self._cohen_list(rank)
-        entry = self._diag.setdefault((rank, pattern), [0, []])
-        scanned, positions = entry
-        for j in range(scanned, len(v)):
-            if v[j] != pattern.bit(j):
-                positions.append(j)
-        entry[0] = len(v)
-        return positions
-
     # -- block queries --
 
     def next_block(self, nm, lo):
         """The first block [B, E) of nm with B >= lo, or None if undetermined.
 
-        Blocks of one name come in increasing order, so if this block does
-        not fit below some bound, no later block will.  A walk nested too
-        deep for the interpreter's stack raises CannotAdvance.
+        A ground name's blocks are arithmetic.  Any other name's are two
+        consecutive entries of its boundary list (t_a, or the name's
+        walk); when the list runs out before lo is passed, ``_grow``
+        extends it, and None means it cannot.  Blocks of one name come in
+        increasing order, so if this block does not fit below some bound,
+        no later block will.  A walk nested too deep for the interpreter's
+        stack raises CannotAdvance.
         """
         try:
             if isinstance(nm, GroundName):
-                return self._next_ground(nm, lo)
+                if lo <= nm.start:
+                    return nm.start, nm.start + nm.step
+                b = nm.start + (lo - nm.start + nm.step - 1) // nm.step * nm.step
+                return b, b + nm.step
             if isinstance(nm, CoordinateName):
-                return self._next_coordinate(nm, lo)
-            if isinstance(nm, DiagonalName):
-                return self._next_diagonal(nm, lo)
-            if isinstance(nm, MergeName):
-                return self._next_merge(nm, lo)
+                hs = self.t.get(nm.element)
+                if hs is None:
+                    return None
+            elif isinstance(nm, (DiagonalName, MergeName)):
+                hs = self._walks.get(nm)
+                if hs is None:
+                    # Checked once per walk: a name past the bound never gets one.
+                    if isinstance(nm, MergeName) and nm.depth > _MAX_NAME_DEPTH:
+                        raise CannotAdvance("name nesting exceeds the depth bound")
+                    hs = self._walks[nm] = []
+            else:
+                raise CannotAdvance(f"unusable name {nm!r}")
+            while True:
+                i = bisect_left(hs, lo)
+                if i + 1 < len(hs):
+                    return hs[i], hs[i + 1]
+                if not self._grow(nm, hs, lo):
+                    return None
         except RecursionError as err:
             # Coordinate reads nest walks in walks; no name depth caps that.
             raise CannotAdvance("name walk exceeds the interpreter's stack") from err
-        raise CannotAdvance(f"unusable name {nm!r}")
 
-    def _next_ground(self, nm, lo):
-        if lo <= nm.start:
-            b = nm.start
-        else:
-            k = (lo - nm.start + nm.step - 1) // nm.step
-            b = nm.start + k * nm.step
-        return b, b + nm.step
+    def _grow(self, nm, hs, lo):
+        """Add to nm's boundary list hs; False when the data cannot decide how.
 
-    def _next_coordinate(self, nm, lo):
-        """The gap of t_a at or past lo, grown by a's cascade floored at lo.
-
-        Each round of a's cascade gives t_a one value at or above lo, so
-        two rounds pass any lo.
+        - Coordinate a: a's cascade floored at lo.  Each round gives t_a
+          one value at or above lo, so two rounds pass any lo.
+        - Diagonal: the word's next disagreement with the pattern, scanned
+          from one past the last boundary.  Past the word's end an
+          extending workspace writes the pattern's flip, up to lo or one
+          bit if the word reaches lo already, and records each flip as a
+          boundary as it writes it.
+        - Merge: at first, the earlier of the children's first block
+          starts; then the further of the ends of the children's first
+          blocks from the last boundary on.  So the span between two
+          boundaries holds a whole block of each child, which is the
+          merge's defining property.
         """
-        a = nm.element
-        if a not in self.t:
-            return None
-        while True:
-            vals = self.t[a]
-            i = bisect_left(vals, lo)
-            if i + 1 < len(vals):
-                return vals[i], vals[i + 1]
+        if isinstance(nm, CoordinateName):
             if not self.extend:
-                return None
-            self.cascade(self.rp.ranks[a], top=a, floor=lo)
-
-    def _next_diagonal(self, nm, lo):
-        while True:
-            positions = self._disagreements(nm.rank, nm.pattern)
-            i = bisect_left(positions, lo)
-            if i + 1 < len(positions):
-                return positions[i], positions[i + 1]
+                return False
+            self.cascade(self.rp.ranks[nm.element], top=nm.element, floor=lo)
+            return True
+        if isinstance(nm, DiagonalName):
+            bit = nm.pattern.bit
+            v = self.cohen.get(nm.rank, ())
+            for j in range(hs[-1] + 1 if hs else 0, len(v)):
+                if v[j] != bit(j):
+                    hs.append(j)
+                    return True
             if not self.extend:
-                return None
-            v = self._cohen_list(nm.rank)
-            # Fill up to lo, or one bit if v reaches it already; every
-            # written bit flips the pattern, so each is a disagreement.
-            v.extend(1 - nm.pattern.bit(j) for j in range(len(v), max(lo, len(v) + 1)))
-
-    def _next_merge(self, nm, lo):
-        hs = self._merge_walks.get(nm)
-        if hs is None:
-            # Checked once per walk: a name past the bound never gets one.
-            if nm.depth > _MAX_NAME_DEPTH:
-                raise CannotAdvance("name nesting exceeds the depth bound")
-            hs = self._merge_walks[nm] = []
-        while True:
-            i = bisect_left(hs, lo)
-            if i + 1 < len(hs):
-                return hs[i], hs[i + 1]
-            if not hs:
-                first_left = self.next_block(nm.left, 0)
-                first_right = self.next_block(nm.right, 0)
-                if first_left is None or first_right is None:
-                    return None
-                hs.append(min(first_left[0], first_right[0]))
-            else:
-                here = hs[-1]
-                block_left = self.next_block(nm.left, here)
-                block_right = self.next_block(nm.right, here)
-                if block_left is None or block_right is None:
-                    return None
-                # The span [here, max of ends) then holds one whole block
-                # of each child, which is the merge's defining property.
-                hs.append(max(block_left[1], block_right[1]))
+                return False
+            v = self.cohen.setdefault(nm.rank, [])
+            flips = range(len(v), max(lo, len(v) + 1))
+            v.extend(1 - bit(j) for j in flips)
+            hs.extend(flips)
+            return True
+        here = hs[-1] if hs else 0
+        block_left = self.next_block(nm.left, here)
+        block_right = self.next_block(nm.right, here)
+        if block_left is None or block_right is None:
+            return False
+        if hs:
+            hs.append(max(block_left[1], block_right[1]))
+        else:
+            hs.append(min(block_left[0], block_right[0]))
+        return True
 
     # -- state growth --
 

@@ -3,6 +3,8 @@
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockforcing import (
     CannotAdvance,
@@ -393,7 +395,72 @@ def test_name_depth_guard_holds_after_overflow():
     for _ in range(2):
         with pytest.raises(CannotAdvance):
             ws.next_block(nm, 0)
-    assert ws._merge_walks == {}
+    assert ws._walks == {}
+
+
+def _disagreement_oracle(word, pattern, lo):
+    """The first two positions at or past lo where word differs from pattern."""
+    found = [j for j in range(lo, len(word)) if word[j] != pattern.bit(j)][:2]
+    return tuple(found) if len(found) == 2 else None
+
+
+_PATTERN_SPECS = ("zeros", "ones", "periodic:0110") + tuple(
+    f"seeded-random:{n}" for n in (1, 2, 3)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(0, 1), max_size=40),
+    st.lists(st.sampled_from(_PATTERN_SPECS), min_size=1, max_size=3, unique=True),
+    st.integers(0, 100),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 60)), min_size=1, max_size=8),
+)
+def test_diagonal_walks_match_a_brute_force_scan(word, specs, seed, queries):
+    names = [DiagonalName(GroundReal(spec, seed), 0) for spec in specs]
+    # Every name's first block first, then the drawn queries in their order.
+    queries = [(nm, 0) for nm in names] + [(names[k % len(names)], lo) for k, lo in queries]
+
+    # A shared view answers as a fresh one would, in any query order.
+    shared = Workspace(POINT_RP, {0: word}, {}, {}, extend=False)
+    for nm, lo in queries:
+        fresh = Workspace(POINT_RP, {0: word}, {}, {}, extend=False)
+        expected = _disagreement_oracle(word, nm.pattern, lo)
+        assert shared.next_block(nm, lo) == fresh.next_block(nm, lo) == expected
+    assert shared.cohen[0] == word
+
+    # An extending workspace grows the word only by flips of the pattern
+    # it reads, and only up to one past the block it returns.
+    ws = Workspace(POINT_RP, {0: word}, {}, {})
+    for nm, lo in queries:
+        old = list(ws.cohen[0])
+        block = ws.next_block(nm, lo)
+        new = ws.cohen[0]
+        assert block == _disagreement_oracle(new, nm.pattern, lo)
+        assert new[: len(old)] == old
+        if len(new) > len(old):
+            assert all(new[j] != nm.pattern.bit(j) for j in range(len(old), len(new)))
+            assert len(new) == block[1] + 1
+
+
+@pytest.mark.parametrize(
+    "spec, seed, bits",
+    [
+        ("zeros", 0, "0" * 64),
+        ("zeros", 7, "0" * 64),
+        ("ones", 0, "1" * 64),
+        ("ones", 7, "1" * 64),
+        ("periodic:0110", 0, "0110" * 16),
+        ("periodic:0110", 7, "0110" * 16),
+        ("seeded-random:1", 0, "0100101001011110111000101001011011101100000000110001110011001011"),
+        ("seeded-random:1", 7, "1110111001100011001011001111100111010101010001011101000011000111"),
+        ("seeded-random:3", 0, "1010010101011010101000000000001000011101000111000100010100001111"),
+        ("seeded-random:3", 7, "0101011111010111011000001000110111011001110110111101011101100001"),
+    ],
+)
+def test_pattern_bits_frozen(spec, seed, bits):
+    real = GroundReal(spec, seed)
+    assert "".join(str(real.bit(j)) for j in range(64)) == bits
 
 
 def _stack_depth():

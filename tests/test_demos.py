@@ -1,4 +1,4 @@
-"""Every narrative script under demos/ runs to completion."""
+"""Every narrative script under demos/ runs to completion, warning-free."""
 
 import os
 import subprocess
@@ -18,7 +18,8 @@ def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(DEMOS / script)],
+        # pytest's warning filter does not reach a child process.
+        [sys.executable, "-W", "error", str(DEMOS / script)],
         env=env,
         capture_output=True,
         text=True,

@@ -1,7 +1,9 @@
 """Scenario plumbing, the order matrix, coverage audits, and the CLI."""
 
+import dataclasses
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ from blockforcing import (
     LengthGoal,
     LengthTooShort,
     Poset,
+    ResolutionExhausted,
     Scenario,
     SpecError,
     Window,
@@ -35,9 +38,9 @@ from blockforcing import (
     run_scenario,
     tiny_subset_check,
 )
-from blockforcing import cli
+from blockforcing import cli, harness
 from blockforcing.cli import main
-from blockforcing.harness import report_json
+from blockforcing.harness import _paid_goal_count, report_json
 from conftest import assert_chain_sound, random_poset
 
 
@@ -401,6 +404,68 @@ def test_cli_run_budget_exhaustion(v_scenario_file, capsys):
     err = capsys.readouterr().err
     assert "budget exhausted" in err and "unmet goal indices" in err
     assert main(["run", str(v_scenario_file), "--resolution", "0"]) == 2
+
+
+def _refuse_goal_building(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the goal list was built")
+
+    monkeypatch.setattr(harness, "build_goals", refuse)
+
+
+@pytest.mark.parametrize(
+    "scenario, paid",
+    [
+        # 120 * 119 ordered pairs, three separation goals each
+        ({"poset": {"elements": [f"x{i:03d}" for i in range(120)]}}, 42_840),
+        # a million domination goals for each of a << c and b << c, and
+        # three separation goals for each of the four incomparable pairs
+        ({"poset": V_JSON, "plan": {"dominate_pairs": 1_000_000}}, 2_000_012),
+    ],
+    ids=["antichain-120", "v-million-dominations"],
+)
+def test_cli_run_refuses_a_budget_below_the_paid_goals(
+    scenario, paid, tmp_path, monkeypatch, capsys
+):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    _refuse_goal_building(monkeypatch)
+    start = time.perf_counter()
+    assert main(["run", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("budget exhausted: ")
+    assert f"the plan has {paid} goals" in err and "budget of 4096 steps" in err
+
+
+def test_paid_goal_count_matches_the_built_goals():
+    for seed in range(40):
+        rp = compute_ranks(random_poset(seed))
+        reals = tuple(GroundReal(spec) for spec in ("zeros", "ones")[: seed % 3])
+        plan = GoalPlan(
+            dominate_pairs=1 + seed % 2,
+            disagreements_per_real=1 + seed % 3,
+            violations_per_incomparable_pair=1 + seed % 4,
+        )
+        goals = build_goals(rp, reals, plan)
+        paid = sum(not isinstance(goal, LengthGoal) for goal in goals)
+        assert _paid_goal_count(rp, reals, plan) == paid
+
+
+def test_budget_equal_to_the_paid_goals_is_not_refused_up_front(monkeypatch):
+    sc = _scenario({"poset": V_JSON, "ground_reals": ["zeros"]})
+    rp = compute_ranks(sc.poset, sc.cofinal)
+    paid = _paid_goal_count(rp, (GroundReal("zeros"),), sc.plan)
+    # The length goals still need steps here, so the engine, having built
+    # the goals, runs out and lists the unmet ones.
+    with pytest.raises(ResolutionExhausted) as info:
+        run_scenario(dataclasses.replace(sc, resolution=paid))
+    assert info.value.unmet
+    _refuse_goal_building(monkeypatch)
+    with pytest.raises(ResolutionExhausted) as info:
+        run_scenario(dataclasses.replace(sc, resolution=paid - 1))
+    assert info.value.unmet == ()
 
 
 def test_cli_run_cannot_advance(v_scenario_file, monkeypatch, capsys):
