@@ -143,12 +143,15 @@ def leq_check(p, q, rp, certs=frozenset(), cache=None):
     each link's p in turn, whose walk caches every coordinate shares: all
     of them read the same p, and the determined data only grows link to
     link, so the caches stay valid and the whole chain verifies in one
-    pass over the data.
+    pass over the data.  It also keeps, per support, each b's 3b reads-below verdict.
     """
     cache = {} if cache is None else cache
     if "view" not in cache:
         cache["view"] = Workspace(rp, {}, {}, {}, extend=False)
     view = cache["view"]
+    if cache.get("support") != p.coords.keys():
+        cache["support"], cache["reads_below"] = set(p.coords), {}
+    reads_below = cache["reads_below"]
     # A non-extending view never writes, so p's own tuples serve as its data.
     view.cohen = p.cohen
     view.t = {b: part.t for b, part in p.coords.items()}
@@ -176,7 +179,9 @@ def leq_check(p, q, rp, certs=frozenset(), cache=None):
                 Violation("3a", b, "names differ and no certificate chain connects them")
             )
         fresh = range(max(len(old_vals), 1), len(new_vals))
-        readable = bool(fresh) and _reads_below(name_old, b, p, rp)
+        if fresh and reads_below.get(b, (None,))[0] is not name_old:
+            reads_below[b] = (name_old, _reads_below(name_old, b, p, rp))
+        readable = bool(fresh) and reads_below[b][1]
         for n in fresh:
             lo, hi = new_vals[n - 1], new_vals[n]
             try:

@@ -113,7 +113,7 @@ def start_condition(rp):
     ranks = sorted({rp.ranks[x] for x in elements})
     return Condition(
         cohen={r: () for r in ranks},
-        coords={b: CoordPart((), GroundName(0, 1)) for b in elements},
+        coords=dict.fromkeys(elements, CoordPart((), GroundName(0, 1))),
     )
 
 

@@ -29,10 +29,12 @@ from .engine import (
     build_generic,
     goal_descriptor,
 )
-from .errors import InsufficientViolations, LengthTooShort, ResolutionExhausted, SpecError
+from .errors import CannotAdvance, InsufficientViolations, LengthTooShort
+from .errors import ResolutionExhausted, SpecError
 from .names import CoordinateName, DiagonalName
 from .patterns import GroundReal
 from .poset import Poset, compute_ranks, dump_poset, load_poset
+from .resolution import _MAX_NAME_DEPTH
 
 
 @dataclass(frozen=True)
@@ -401,6 +403,13 @@ def run_scenario(sc):
             f"the plan has {paid} goals that take a step each, "
             f"over the budget of {sc.resolution} steps"
         )
+    for b in sorted(rp.poset.elements):
+        merges = len(rp.below[b]) * sc.plan.dominate_pairs + len(reals)
+        if merges > _MAX_NAME_DEPTH:
+            raise CannotAdvance(
+                f"the plan nests {merges} merges in the name at {b!r} (dominate_pairs "
+                f"{sc.plan.dominate_pairs}), past the depth bound of {_MAX_NAME_DEPTH}"
+            )
     goals = build_goals(rp, reals, sc.plan)
     run = build_generic(rp, goals, sc.resolution, seed=sc.seed)
     iso = check_isomorphism(run, question_variant=sc.question_variant)

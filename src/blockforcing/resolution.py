@@ -13,17 +13,17 @@ check runs in, since a statement is only forced when the data already
 decides it.  Such a view never writes, so the order check points one
 at each link's own tuples in turn.
 
-Every name that reads the state reads one increasing list of block
-boundaries: t_a itself for a coordinate name, and a walk the workspace
-caches for a diagonal or merge name.  A block is two consecutive
-boundaries, and a walk grows one boundary at a time, only when a query
-runs past its end.  A diagonal walk compares a bit with its pattern once,
-where it reads it; a flip it writes is recorded as a boundary where it
-is written, never rescanned.  All block queries are prefix-stable:
-growing the state never changes an answer already given, it only turns
-None into a block.  That is what makes the walks safe to keep across a
-whole run, and across the links of a descending chain, whose data only
-grows.
+A workspace compiles each name it is asked about once, into a tree of
+walks linked as the name is: ground (arithmetic), coordinate, diagonal
+and merge.  The others read an increasing boundary list (t_a, or one the
+walk owns), a block being two consecutive entries, and grow it one
+boundary at a time when a query runs past its end.  A merge asks its
+child walks directly; a diagonal reads each bit once and records each
+flip it writes as a boundary.  Walks hold no workspace: each query
+passes it in.  All block queries are prefix-stable: growing the state
+never changes an answer already given, it only turns None into a block,
+so the walks stay valid across a whole run and across the links of a
+descending chain, whose data only grows.
 
 Same-rank coordinates grow together through the cascade, the one place
 that decides which coordinates grow and by what value.  It grows a
@@ -43,12 +43,103 @@ from .names import CoordinateName, DiagonalName, GroundName, MergeName
 # Not called here: perfbench/tracing.py counts calls through this name, so it stays bound.
 from .poset import restricted_linear_order
 
-# Two stack frames per merge level: this fits the interpreter's default stack.
+# Two stack frames per merge level to walk, one to compile: fits the default stack.
 _MAX_NAME_DEPTH = 256
 
 
 def _last(vals):
     return vals[-1] if vals else -1
+
+
+class _Walk:
+    """Reads a boundary list by bisection; ``grow`` extends it, or returns False if it cannot."""
+
+    __slots__ = ("nm",)
+
+    def __init__(self, nm):
+        self.nm = nm
+
+    def boundaries(self, ws):
+        return self.hs
+
+    def block(self, ws, lo):
+        hs = self.boundaries(ws)
+        while True:
+            i = bisect_left(hs, lo)
+            if i + 1 < len(hs):
+                return hs[i], hs[i + 1]
+            if not self.grow(ws, hs, lo):
+                return None
+
+
+class _Ground(_Walk):
+    __slots__ = ()
+
+    def block(self, ws, lo):
+        start, step = self.nm.start, self.nm.step
+        b = start + (max(lo, start) - start + step - 1) // step * step
+        return b, b + step
+
+
+class _Coordinate(_Walk):
+    __slots__ = ()
+
+    def boundaries(self, ws):
+        return ws.t.get(self.nm.element, ())
+
+    def grow(self, ws, hs, lo):
+        # a's cascade floored at lo (each round gives t_a a value >= lo); none outside t.
+        if not ws.extend or self.nm.element not in ws.t:
+            return False
+        ws.cascade(ws.rp.ranks[self.nm.element], top=self.nm.element, floor=lo)
+        return True
+
+
+class _Diagonal(_Walk):
+    __slots__ = ("hs",)
+
+    def __init__(self, nm):
+        self.nm, self.hs = nm, []
+
+    def grow(self, ws, hs, lo):
+        # The next disagreement with the pattern past the last boundary; past the
+        # word's end an extending workspace writes flips up to lo (or one), each a boundary.
+        bit = self.nm.pattern.bit
+        v = ws.cohen.get(self.nm.rank, ())
+        for j in range(hs[-1] + 1 if hs else 0, len(v)):
+            if v[j] != bit(j):
+                hs.append(j)
+                return True
+        if not ws.extend:
+            return False
+        v = ws.cohen.setdefault(self.nm.rank, [])
+        flips = range(len(v), max(lo, len(v) + 1))
+        v.extend(1 - bit(j) for j in flips)
+        hs.extend(flips)
+        return True
+
+
+class _Merge(_Walk):
+    __slots__ = ("left", "right", "hs")
+
+    def __init__(self, nm, left, right):
+        self.nm, self.left, self.right, self.hs = nm, left, right, []
+
+    def grow(self, ws, hs, lo):
+        # First the earlier child start; then, from the last boundary, the further child end.
+        here = hs[-1] if hs else 0
+        block_left = self.left.block(ws, here)
+        block_right = self.right.block(ws, here)
+        if block_left is None or block_right is None:
+            return False
+        if hs:
+            hs.append(max(block_left[1], block_right[1]))
+        else:
+            hs.append(min(block_left[0], block_right[0]))
+        return True
+
+
+_LEAF_WALKS = {GroundName: _Ground, CoordinateName: _Coordinate, DiagonalName: _Diagonal}
 
 
 class Workspace:
@@ -70,88 +161,32 @@ class Workspace:
     def next_block(self, nm, lo):
         """The first block [B, E) of nm with B >= lo, or None if undetermined.
 
-        A ground name's blocks are arithmetic.  Any other name's are two
-        consecutive entries of its boundary list (t_a, or the name's
-        walk); when the list runs out before lo is passed, ``_grow``
-        extends it, and None means it cannot.  Blocks of one name come in
-        increasing order, so if this block does not fit below some bound,
-        no later block will.  A walk nested too deep for the interpreter's
-        stack raises CannotAdvance.
+        Blocks of one name come in increasing order, so if this block does
+        not fit below some bound, no later block will.  A name nested past
+        the depth bound, or a walk too deep for the stack, raises CannotAdvance.
         """
         try:
-            if isinstance(nm, GroundName):
-                if lo <= nm.start:
-                    return nm.start, nm.start + nm.step
-                b = nm.start + (lo - nm.start + nm.step - 1) // nm.step * nm.step
-                return b, b + nm.step
-            if isinstance(nm, CoordinateName):
-                hs = self.t.get(nm.element)
-                if hs is None:
-                    return None
-            elif isinstance(nm, (DiagonalName, MergeName)):
-                hs = self._walks.get(nm)
-                if hs is None:
-                    # Checked once per walk: a name past the bound never gets one.
-                    if isinstance(nm, MergeName) and nm.depth > _MAX_NAME_DEPTH:
-                        raise CannotAdvance("name nesting exceeds the depth bound")
-                    hs = self._walks[nm] = []
-            else:
-                raise CannotAdvance(f"unusable name {nm!r}")
-            while True:
-                i = bisect_left(hs, lo)
-                if i + 1 < len(hs):
-                    return hs[i], hs[i + 1]
-                if not self._grow(nm, hs, lo):
-                    return None
+            walk = self._walks.get(nm) or self._compile(nm)
+            return walk.block(self, lo)
         except RecursionError as err:
             # Coordinate reads nest walks in walks; no name depth caps that.
             raise CannotAdvance("name walk exceeds the interpreter's stack") from err
 
-    def _grow(self, nm, hs, lo):
-        """Add to nm's boundary list hs; False when the data cannot decide how.
-
-        - Coordinate a: a's cascade floored at lo.  Each round gives t_a
-          one value at or above lo, so two rounds pass any lo.
-        - Diagonal: the word's next disagreement with the pattern, scanned
-          from one past the last boundary.  Past the word's end an
-          extending workspace writes the pattern's flip, up to lo or one
-          bit if the word reaches lo already, and records each flip as a
-          boundary as it writes it.
-        - Merge: at first, the earlier of the children's first block
-          starts; then the further of the ends of the children's first
-          blocks from the last boundary on.  So the span between two
-          boundaries holds a whole block of each child, which is the
-          merge's defining property.
-        """
-        if isinstance(nm, CoordinateName):
-            if not self.extend:
-                return False
-            self.cascade(self.rp.ranks[nm.element], top=nm.element, floor=lo)
-            return True
-        if isinstance(nm, DiagonalName):
-            bit = nm.pattern.bit
-            v = self.cohen.get(nm.rank, ())
-            for j in range(hs[-1] + 1 if hs else 0, len(v)):
-                if v[j] != bit(j):
-                    hs.append(j)
-                    return True
-            if not self.extend:
-                return False
-            v = self.cohen.setdefault(nm.rank, [])
-            flips = range(len(v), max(lo, len(v) + 1))
-            v.extend(1 - bit(j) for j in flips)
-            hs.extend(flips)
-            return True
-        here = hs[-1] if hs else 0
-        block_left = self.next_block(nm.left, here)
-        block_right = self.next_block(nm.right, here)
-        if block_left is None or block_right is None:
-            return False
-        if hs:
-            hs.append(max(block_left[1], block_right[1]))
-        else:
-            hs.append(min(block_left[0], block_right[0]))
-        return True
+    def _compile(self, nm):
+        """nm's walk, linked to its children's; each name's is built once."""
+        walk = self._walks.get(nm)
+        if walk is None:
+            if isinstance(nm, MergeName):
+                # Checked before any walk is built: a name past the bound never gets one.
+                if nm.depth > _MAX_NAME_DEPTH:
+                    raise CannotAdvance("name nesting exceeds the depth bound")
+                walk = _Merge(nm, self._compile(nm.left), self._compile(nm.right))
+            elif type(nm) in _LEAF_WALKS:
+                walk = _LEAF_WALKS[type(nm)](nm)
+            else:
+                raise CannotAdvance(f"unusable name {nm!r}")
+            self._walks[nm] = walk
+        return walk
 
     # -- state growth --
 

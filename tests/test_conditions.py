@@ -1,6 +1,9 @@
 """Names, certificates, and the four-clause extension order."""
 
+import gc
+import random
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +13,15 @@ from blockforcing import (
     CannotAdvance,
     CoordinateName,
     DiagonalName,
+    GoalPlan,
     GroundName,
     GroundReal,
     IncSeq,
     MergeName,
     Poset,
     Window,
+    build_generic,
+    build_goals,
     compute_ranks,
     leq_check,
     refines_at,
@@ -31,6 +37,7 @@ from blockforcing.conditions import (
 from blockforcing.engine import start_condition
 from blockforcing.names import coordinate_elements, descriptor, diagonal_ranks
 from blockforcing.resolution import Workspace
+from conftest import random_poset
 
 
 V_RP = compute_ranks(Poset(["a", "b", "c"], [("a", "c"), ("b", "c")]))
@@ -291,6 +298,86 @@ def test_one_cache_serves_a_whole_chain():
     ]
 
 
+def _cut(cond, support, rp):
+    """cond on the coordinates in support and the ranks they occupy."""
+    ranks = {rp.ranks[x] for x in support}
+    return Condition(
+        cohen={r: bits for r, bits in cond.cohen.items() if r in ranks},
+        coords={x: part for x, part in cond.coords.items() if x in support},
+    )
+
+
+def test_threaded_cache_matches_no_cache_as_the_support_moves():
+    # Engine chains cut to a support that grows link by link, checked with
+    # one cache along the chain and with a second one that also takes links
+    # restricted below some coordinate in between: whatever a cache
+    # remembers must follow each new support.
+    reals = (GroundReal("seeded-random:1"), GroundReal("periodic:01"))
+    verdicts = set()
+    for seed in range(20):
+        rng = random.Random(seed)
+        rp = compute_ranks(random_poset(seed, max_elements=5))
+        run = build_generic(rp, build_goals(rp, reals, GoalPlan()), 10**6)
+        certs = run.certificates
+        elements = sorted(rp.poset.elements)
+        support = set(rng.sample(elements, rng.randint(0, len(elements))))
+        plain, mixed = {}, {}
+        q = _cut(run.chain[0], support, rp)
+        for link in run.chain[1:]:
+            support |= {x for x in elements if rng.random() < 0.05}
+            p = _cut(link, support, rp)
+            expected = leq_check(p, q, rp, certs)
+            assert leq_check(p, q, rp, certs, cache=plain) == expected
+            assert leq_check(p, q, rp, certs, cache=mixed) == expected
+            verdicts.add(tuple(sorted({v.clause for v in expected.violations})))
+            if rng.random() < 0.3:
+                b = rng.choice(elements)
+                below_p, below_q = restrict(p, b, rp), restrict(q, b, rp)
+                expected = leq_check(below_p, below_q, rp, certs)
+                assert leq_check(below_p, below_q, rp, certs, cache=mixed) == expected
+            q = p
+    # Both sound links and clause 3b failures occur, so the check has teeth.
+    assert () in verdicts and ("3b",) in verdicts
+
+
+def test_threaded_cache_follows_a_new_old_name():
+    # The same support throughout, but a's old name changes to one that
+    # reads b, which is not below a: its fresh gap must fail clause 3b
+    # with a threaded cache as without one, though t_b decides a block.
+    reads_b = MergeName(GroundName(0, 1), CoordinateName("b"))
+    support = {"a", "b", "c"}
+    chain = [
+        _plain(support, {0: ""}, {"a": (), "b": (), "c": ()}),
+        _plain(support, {0: ""}, {"a": (0, 1), "b": (), "c": ()}, {"a": reads_b}),
+        _plain(support, {0: ""}, {"a": (0, 1, 5), "b": (0, 2, 4), "c": ()}, {"a": reads_b}),
+    ]
+    cache = {}
+    reports = [leq_check(p, q, V_RP, cache=cache) for q, p in zip(chain, chain[1:])]
+    assert reports == [leq_check(p, q, V_RP) for q, p in zip(chain, chain[1:])]
+    assert [(v.clause, v.subject) for v in reports[1].violations] == [("3b", "a")]
+
+
+def test_dropped_workspaces_free_without_the_cycle_collector():
+    # Walks hold no workspace, so neither an extending workspace nor the
+    # order check's cached view is kept alive by a reference cycle.
+    run = build_generic(V_RP, build_goals(V_RP, (ZEROS,), GoalPlan()), 10**6)
+    ws = workspace_of(run.chain[-1], V_RP)
+    ws.next_block(ws.names["c"], ws.t["c"][-1])
+    cache = {}
+    for q, p in zip(run.chain, run.chain[1:]):
+        assert leq_check(p, q, V_RP, run.certificates, cache=cache)
+    kinds = {GroundName, CoordinateName, DiagonalName, MergeName}
+    assert {type(nm) for nm in ws._walks} == kinds
+    assert {type(nm) for nm in cache["view"]._walks} == kinds
+    refs = [weakref.ref(ws), weakref.ref(cache["view"])]
+    gc.disable()
+    try:
+        del ws, cache
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
 def test_clause_4_same_rank_nesting():
     chain_rp = compute_ranks(Poset(["a", "b"], [("a", "b")]), {"b"})
     assert chain_rp.ranks == {"a": 0, "b": 0}
@@ -441,6 +528,88 @@ def test_diagonal_walks_match_a_brute_force_scan(word, specs, seed, queries):
         if len(new) > len(old):
             assert all(new[j] != nm.pattern.bit(j) for j in range(len(old), len(new)))
             assert len(new) == block[1] + 1
+
+
+PAIR_RP = compute_ranks(Poset(["a", "b"]))
+_LEAF_NAMES = st.one_of(
+    st.builds(GroundName, st.integers(0, 6), st.integers(1, 4)),
+    st.sampled_from([CoordinateName("a"), CoordinateName("b")]),
+    st.builds(
+        DiagonalName,
+        st.builds(GroundReal, st.sampled_from(_PATTERN_SPECS), st.integers(0, 3)),
+        st.integers(0, 1),
+    ),
+)
+
+
+def _nested_names(levels):
+    if levels == 0:
+        return _LEAF_NAMES
+    below = _nested_names(levels - 1)
+    return st.one_of(below, st.builds(MergeName, below, below))
+
+
+def _first_block(bounds, lo):
+    return next(((x, y) for x, y in zip(bounds, bounds[1:]) if x >= lo), None)
+
+
+def _brute_force_bounds(nm, cohen, t, limit=400):
+    """nm's whole boundary list on fixed data, ground lists cut at limit."""
+    if isinstance(nm, GroundName):
+        return list(range(nm.start, limit, nm.step))
+    if isinstance(nm, CoordinateName):
+        return list(t.get(nm.element, ()))
+    if isinstance(nm, DiagonalName):
+        word = cohen.get(nm.rank, ())
+        return [j for j in range(len(word)) if word[j] != nm.pattern.bit(j)]
+    left = _brute_force_bounds(nm.left, cohen, t, limit)
+    right = _brute_force_bounds(nm.right, cohen, t, limit)
+    bounds = []
+    while True:
+        here = bounds[-1] if bounds else 0
+        block_left, block_right = _first_block(left, here), _first_block(right, here)
+        if block_left is None or block_right is None:
+            return bounds
+        if bounds:
+            bounds.append(max(block_left[1], block_right[1]))
+        else:
+            bounds.append(min(block_left[0], block_right[0]))
+
+
+def _state(ws):
+    return {r: list(v) for r, v in ws.cohen.items()}, {b: list(v) for b, v in ws.t.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_nested_names(3), min_size=1, max_size=3),
+    st.fixed_dictionaries({rank: st.lists(st.integers(0, 1), max_size=30) for rank in (0, 1)}),
+    st.dictionaries(
+        st.sampled_from(["a", "b"]), st.lists(st.integers(0, 60), unique=True).map(sorted)
+    ),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 60)), min_size=1, max_size=8),
+    st.booleans(),
+)
+def test_merge_walks_match_a_brute_force_merge(names, cohen, t, queries, extend):
+    # A shared workspace answers every query as a fresh one built from the
+    # same data does, and both give the merge rule's answer on the data the
+    # query leaves: the first boundary is the earlier child start, each later
+    # one the further child block end.
+    own = {"a": GroundName(0, 2), "b": GroundName(1, 3)}
+    shared = Workspace(PAIR_RP, cohen, t, own, extend=extend)
+    queries = [(names[k % len(names)], lo) for k, lo in queries]
+    for nm, lo in queries:
+        before = _state(shared)
+        fresh = Workspace(PAIR_RP, *before, own, extend=extend)
+        block = shared.next_block(nm, lo)
+        assert fresh.next_block(nm, lo) == block
+        assert _state(fresh) == _state(shared)
+        cohen_now, t_now = _state(shared)
+        assert block == _first_block(_brute_force_bounds(nm, cohen_now, t_now), lo)
+        if not extend:
+            assert (cohen_now, t_now) == before
+        for old, now in zip(before, (cohen_now, t_now)):
+            assert all(now[key][: len(vals)] == vals for key, vals in old.items())
 
 
 @pytest.mark.parametrize(

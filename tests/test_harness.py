@@ -468,6 +468,53 @@ def test_budget_equal_to_the_paid_goals_is_not_refused_up_front(monkeypatch):
     assert info.value.unmet == ()
 
 
+def _demo_with_dominate_pairs(tmp_path, pairs):
+    obj = json.loads(DEMO_SCENARIO.read_text())
+    obj["poset"] = str(DEMO_SCENARIO.parent / obj["poset"])
+    obj["resolution"] = 1_000_000
+    obj["plan"] = {**obj.get("plan", {}), "dominate_pairs": pairs}
+    path = tmp_path / f"v-{pairs}.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def test_cli_run_refuses_names_nested_past_the_depth_bound(tmp_path, monkeypatch, capsys):
+    # In the V demo a and b sit below c in order and rank, and three
+    # patterns each add a domination, so c's name nests 2 * pairs + 3 merges.
+    path = _demo_with_dominate_pairs(tmp_path, 127)
+    _refuse_goal_building(monkeypatch)
+    start = time.perf_counter()
+    assert main(["run", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "cannot advance: the plan nests 257 merges in the name at 'c' "
+        "(dominate_pairs 127), past the depth bound of 256\n"
+    )
+
+
+def test_cli_run_names_within_the_depth_bound_are_not_refused(tmp_path, capsys):
+    path = _demo_with_dominate_pairs(tmp_path, 126)
+    assert main(["run", str(path), "--out", str(tmp_path / "report.json")]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["matrix_ok"] and report["coverage_ok"]
+
+
+@pytest.mark.parametrize("reals, refused", [((), False), (("zeros",), True)])
+def test_name_depth_check_is_exact_at_the_bound(reals, refused, monkeypatch):
+    # 2 * 128 dominations by a and b put c's name exactly at the bound;
+    # one pattern more puts it past.
+    sc = _scenario(
+        {"poset": V_JSON, "ground_reals": list(reals), "plan": {"dominate_pairs": 128}}
+    )
+    _refuse_goal_building(monkeypatch)
+    expected = CannotAdvance if refused else AssertionError
+    with pytest.raises(expected):
+        run_scenario(sc)
+
+
 def test_cli_run_cannot_advance(v_scenario_file, monkeypatch, capsys):
     # a valid scenario the engine cannot finish is an honest failure
     def stuck(sc):
