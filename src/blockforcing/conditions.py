@@ -4,9 +4,10 @@ A condition is a finite support, one Cohen bit prefix per rank occurring
 in the support, and per-coordinate data (an increasing t-sequence plus a
 name).  Strengthening means: keep the support (clause 1), extend every
 Cohen prefix (clause 2), extend every t-sequence while only coarsening
-its name through an explicit certificate (clause 3a) and certifying a
-block of the old name inside every newly opened t-gap (clause 3b), and
-nest same-rank comparable coordinates (clause 4).
+its name through merges the run made over it (clause 3a) and certifying
+a block of the old name inside every newly opened t-gap (clause 3b), and
+nest same-rank comparable coordinates (clause 4).  A merge's blocks each
+contain a block of its left child, the name it replaced.
 
 Conditions hold plain tuples: each Cohen prefix is a tuple of bits and
 each t-sequence a tuple of ints.  The engine copies them off its
@@ -49,22 +50,6 @@ class Condition:
     @property
     def support(self):
         return self.coords.keys()
-
-
-@dataclass(frozen=True)
-class RefinementCertificate:
-    """Evidence that new_name only coarsens old_name.
-
-    new_name is a merge whose left child is old_name, so every resolved
-    merge block contains an old block.
-    """
-
-    old_name: object
-    new_name: object
-
-    def __post_init__(self):
-        if not isinstance(self.new_name, MergeName) or self.new_name.left != self.old_name:
-            raise ValueError("merge-coarsening certificate must wrap the old name as left child")
 
 
 @dataclass(frozen=True)
@@ -125,11 +110,11 @@ def _reads_below(nm, b, p, rp):
 
 
 def _names_linked(old, new, certs):
-    # Each certificate's new name holds its old name as the left child,
-    # so a certified path from old to new runs down new's left spine.
+    # Each certificate is a merge the run made over the name it replaced,
+    # its left child, so a certified path from old to new runs down new's left spine.
     cur = new
-    while cur != old:
-        if not isinstance(cur, MergeName) or RefinementCertificate(cur.left, cur) not in certs:
+    while cur is not old and cur != old:
+        if not isinstance(cur, MergeName) or cur not in certs:
             return False
         cur = cur.left
     return True
@@ -137,6 +122,8 @@ def _names_linked(old, new, certs):
 
 def leq_check(p, q, rp, certs=frozenset(), cache=None):
     """Whether p extends q, with one violation record per failing clause.
+
+    ``certs`` holds the clause 3a certificates: the merges the run made.
 
     ``cache`` may be threaded through successive calls along one
     descending chain.  It holds one non-extending workspace, pointed at

@@ -7,6 +7,8 @@ absorbing a domination target, or a recorded gap separating an
 incomparable pair.  Goals are served in order under a step budget, and
 every emitted link is checked against the extension order before it
 joins the chain, so a run that finishes is sound by construction.
+Each distinct merge a domination goal asks for is built once, and the
+run's merges are its clause 3a certificates.
 """
 
 from dataclasses import dataclass
@@ -15,7 +17,6 @@ from .blocks import BitSeq, IncSeq
 from .conditions import (
     Condition,
     CoordPart,
-    RefinementCertificate,
     condition_of,
     leq_check,
     workspace_of,
@@ -86,7 +87,6 @@ class GenericRun:
     certificates: frozenset
     goals: tuple
     ledger: tuple
-    seed: int
     derived: DerivedReals
 
 
@@ -186,7 +186,7 @@ def _validate_goals(rp, goals):
             raise ValueError(f"unknown goal {goal!r}")
 
 
-def build_generic(rp, goals, resolution, seed=0):
+def build_generic(rp, goals, resolution):
     """Serve every goal within the step budget, verifying each link.
 
     Goals are served from a cursor at the first unmet goal; goals before
@@ -195,9 +195,7 @@ def build_generic(rp, goals, resolution, seed=0):
     order, so the ledger is the same as a full rescan would give.
 
     Raises ResolutionExhausted (listing unmet goal indices) when the
-    budget runs out first.  Fully deterministic; the seed is only
-    recorded, so reports can tie derived data back to the scenario that
-    named it.
+    budget runs out first.  Fully deterministic.
     """
     goals = tuple(goals)
     _validate_goals(rp, goals)
@@ -206,7 +204,7 @@ def build_generic(rp, goals, resolution, seed=0):
 
     chain = [start_condition(rp)]
     ws = workspace_of(chain[0], rp)
-    certs = set()
+    certs = {}
     ledger = []
     met = [False] * len(goals)
     lengths = [i for i, goal in enumerate(goals) if isinstance(goal, LengthGoal)]
@@ -248,9 +246,8 @@ def build_generic(rp, goals, resolution, seed=0):
             done = True
             info = {"position": position, "bit": bits[position]}
         elif isinstance(goal, DominateGoal):
-            current = ws.names[goal.elem]
-            ws.names[goal.elem] = MergeName(current, goal.target)
-            certs.add(RefinementCertificate(current, ws.names[goal.elem]))
+            merged = MergeName(ws.names[goal.elem], goal.target)
+            ws.names[goal.elem] = certs.setdefault(merged, merged)
             swap_length = len(ws.t[goal.elem])
             _ladder(ws, up_to=rp.ranks[goal.elem])
             done = True
@@ -280,7 +277,6 @@ def build_generic(rp, goals, resolution, seed=0):
         certificates=frozenset(certs),
         goals=goals,
         ledger=tuple(ledger),
-        seed=seed,
         derived=extract_reals_from(chain[-1]),
     )
 

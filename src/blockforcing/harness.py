@@ -411,7 +411,7 @@ def run_scenario(sc):
                 f"{sc.plan.dominate_pairs}), past the depth bound of {_MAX_NAME_DEPTH}"
             )
     goals = build_goals(rp, reals, sc.plan)
-    run = build_generic(rp, goals, sc.resolution, seed=sc.seed)
+    run = build_generic(rp, goals, sc.resolution)
     iso = check_isomorphism(run, question_variant=sc.question_variant)
     cov = check_coverage(run, sc)
     return run, iso, cov

@@ -62,14 +62,11 @@ class MergeName:
         return self._hash
 
     def __eq__(self, other):
-        # The cached hash and depth part most unequal names at once.  Below 64
-        # levels the fields compare recursively; deeper names use a stack.
+        # Cached hash and depth part most unequal names; the rest walks a stack, any depth.
         if not isinstance(other, MergeName):
             return NotImplemented
         if self._hash != other._hash or self.depth != other.depth:
             return False
-        if self.depth < 64:
-            return (self.left, self.right) == (other.left, other.right)
         pending = [(self, other)]
         while pending:
             x, y = pending.pop()

@@ -7,6 +7,7 @@ and ``top_rank`` is one past the highest rank.  The derived relation
 condition and engine layers consume.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -162,6 +163,9 @@ def load_poset(obj):
     elements = obj.get("elements")
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
         raise SpecError('"elements" must be a list of strings')
+    repeated = sorted(e for e, k in Counter(elements).items() if k > 1)
+    if repeated:
+        raise SpecError(f'"elements" lists {repeated} more than once')
     relations = obj.get("relations", [])
     if not isinstance(relations, list) or not all(
         isinstance(p, list) and len(p) == 2 and all(isinstance(e, str) for e in p)

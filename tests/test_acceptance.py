@@ -83,7 +83,7 @@ def coverage_bundle():
     # judges 'zeros' too, whose bits the built Cohen word copies exactly.
     rp = compute_ranks(V_POSET)
     chased = GroundReal("ones", 3)
-    adv_run = build_generic(rp, build_goals(rp, (chased,), GoalPlan()), 4096, seed=3)
+    adv_run = build_generic(rp, build_goals(rp, (chased,), GoalPlan()), 4096)
     adv_sc = Scenario(
         poset=V_POSET,
         cofinal=frozenset({"a", "b", "c"}),

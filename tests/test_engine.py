@@ -9,6 +9,7 @@ from blockforcing import (
     CoordinateName,
     DiagonalName,
     DominateGoal,
+    GoalPlan,
     GroundName,
     GroundReal,
     IncomparableGoal,
@@ -20,6 +21,7 @@ from blockforcing import (
     Scenario,
     UnknownElement,
     build_generic,
+    build_goals,
     compute_ranks,
     goal_descriptor,
     leq_check,
@@ -268,14 +270,35 @@ def test_dominate_swaps_name_and_certifies():
     run = build_generic(CHAIN_2, [goal], 64)
     final_name = run.chain[-1].coords["b"].name
     assert final_name == MergeName(GroundName(0, 1), CoordinateName("a"))
-    assert len(run.certificates) == 1
-    cert = next(iter(run.certificates))
-    assert cert.old_name == GroundName(0, 1) and cert.new_name == final_name
+    # the one certificate is the final name itself, over the unit name it replaced
+    (cert,) = run.certificates
+    assert cert is final_name and cert.left is run.chain[0].coords["b"].name
     assert run.ledger[0].info == {"swap_length": 0, "block_threshold": 0}
     # b's first merge block [0, 2) asks a's cascade for a second value
     assert tuple(run.chain[-1].coords["a"].t) == (1, 2)
     assert tuple(run.chain[-1].coords["b"].t) == (2,)
     assert_chain_sound(run)
+
+
+def test_each_merge_name_is_made_once():
+    # c and d share their down-set {a}, so they ask for equal merges
+    rp = compute_ranks(Poset(["a", "c", "d"], [("a", "c"), ("a", "d")]))
+    run = build_generic(rp, build_goals(rp, (GroundReal("ones"),), GoalPlan()), 10**6)
+    last = run.chain[-1]
+    assert isinstance(last.coords["c"].name, MergeName)
+    assert last.coords["c"].name is last.coords["d"].name
+    certified = {id(nm) for nm in run.certificates}
+    for link in run.chain:
+        for part in link.coords.values():
+            nm = part.name
+            while isinstance(nm, MergeName):
+                assert id(nm) in certified
+                nm = nm.left
+    # a merge the run did not make is no certificate
+    stray = MergeName(last.coords["c"].name, GroundName(0, 2))
+    p = Condition(last.cohen, {**last.coords, "c": CoordPart(last.coords["c"].t, stray)})
+    report = leq_check(p, last, rp, run.certificates)
+    assert [(v.clause, v.subject) for v in report.violations] == [("3a", "c")]
 
 
 def test_star_nests_past_the_old_depth_bound():
@@ -369,8 +392,8 @@ def test_runs_are_deterministic():
         IncomparableGoal("a", "b", 1),
         DominateGoal("c", CoordinateName("a")),
     ]
-    first = build_generic(V_RP, goals, 256, seed=3)
-    second = build_generic(V_RP, goals, 256, seed=3)
+    first = build_generic(V_RP, goals, 256)
+    second = build_generic(V_RP, goals, 256)
     assert first.chain == second.chain
     assert first.ledger == second.ledger
     assert first.derived == second.derived

@@ -262,7 +262,7 @@ def test_coverage_flags_unregistered_pattern():
     # because the Cohen word built against 'ones' agrees with 'zeros'
     rp = compute_ranks(V_POSET)
     ones = GroundReal("ones", 5)
-    run = build_generic(rp, build_goals(rp, (ones,), GoalPlan()), 4096, seed=5)
+    run = build_generic(rp, build_goals(rp, (ones,), GoalPlan()), 4096)
     sc = Scenario(
         poset=V_POSET,
         cofinal=frozenset({"a", "b", "c"}),
@@ -592,6 +592,22 @@ def test_cli_check_poset(tmp_path, capsys):
     thin = tmp_path / "thin.json"
     thin.write_text(json.dumps({"elements": ["a", "b"], "cofinal_set": ["b"]}))
     assert main(["check-poset", str(thin)]) == 2
+
+
+@pytest.mark.parametrize(
+    "entry, obj",
+    [
+        ("run", {"poset": {"elements": ["a", "a"]}}),
+        ("check-poset", {"elements": ["a", "b", "a"]}),
+    ],
+)
+def test_cli_refuses_duplicate_elements(entry, obj, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    assert main([entry, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: \"elements\" lists ['a'] more than once\n"
 
 
 @pytest.mark.parametrize(
