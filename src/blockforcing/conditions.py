@@ -10,9 +10,14 @@ nest same-rank comparable coordinates (clause 4).  A merge's blocks each
 contain a block of its left child, the name it replaced.
 
 Conditions hold plain tuples: each Cohen prefix is a tuple of bits and
-each t-sequence a tuple of ints.  The engine copies them off its
-workspace once per link; the derived reals validate them once, at the
-end of a run (see ``engine.extract_reals_from``).
+each t-sequence a tuple of ints.  A link freezes what grew since the
+previous link and shares the rest: a coordinate with the same name
+object and t-length keeps the previous part, a Cohen prefix of the same
+length its tuple.  Run state grows only at its ends, so equal length
+means equal data; and the per-link order check still compares data, so
+a piece edited in place fails clause 2 or 3 when it next grows.  The
+derived reals validate the data once, at the end of a run (see
+``engine.extract_reals_from``).
 
 Clause 3b is a forced statement, decided from determined data only.  The
 name at b ranges over the part of Q below b: its old name may read only
@@ -24,16 +29,10 @@ is read off p in place by one non-extending workspace.
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import CannotAdvance
-from .names import CoordinateName, DiagonalName, MergeName, leaves
-from .resolution import Workspace
-
-
-class CoordPart(NamedTuple):
-    t: tuple
-    name: object
+from .names import MergeName, coordinate_elements, diagonal_ranks
+from .resolution import CoordPart, Workspace
 
 
 @dataclass(frozen=True)
@@ -79,34 +78,25 @@ def restrict(p, b, rp):
     )
 
 
-def workspace_of(cond, rp):
-    return Workspace(
-        rp,
-        cond.cohen,
-        {b: part.t for b, part in cond.coords.items()},
-        {b: part.name for b, part in cond.coords.items()},
-    )
-
-
-def condition_of(ws, rp):
-    support = sorted(ws.support)
-    ranks = {rp.ranks[x] for x in support}
-    return Condition(
-        cohen={r: tuple(ws.cohen.get(r, ())) for r in sorted(ranks)},
-        coords={b: CoordPart(tuple(ws.t[b]), ws.names[b]) for b in support},
-    )
+def condition_of(ws, rp, prev):
+    """ws frozen as a condition that shares with prev every piece that did not grow."""
+    coords = {}
+    for b, (vals, name) in sorted(ws.coords.items()):
+        old = prev.coords.get(b)
+        grew = old is None or old.name is not name or len(old.t) != len(vals)
+        coords[b] = CoordPart(tuple(vals), name) if grew else old
+    cohen = {}
+    for r in sorted({rp.ranks[x] for x in coords}):
+        bits, old = ws.cohen.get(r, ()), prev.cohen.get(r)
+        cohen[r] = tuple(bits) if old is None or len(old) != len(bits) else old
+    return Condition(cohen, coords)
 
 
 def _reads_below(nm, b, p, rp):
     """Whether nm reads only what p holds below b (the clause 3b context)."""
     cone = rp.below[b] & p.coords.keys()
     ranks = {rp.ranks[x] for x in cone} | {rp.rank_of(b)}
-    for leaf in leaves(nm):
-        if isinstance(leaf, CoordinateName) and leaf.element not in cone:
-            return False
-        if isinstance(leaf, DiagonalName) and leaf.rank not in ranks:
-            return False
-    return True
+    return coordinate_elements(nm) <= cone and diagonal_ranks(nm) <= ranks
 
 
 def _names_linked(old, new, certs):
@@ -134,14 +124,13 @@ def leq_check(p, q, rp, certs=frozenset(), cache=None):
     """
     cache = {} if cache is None else cache
     if "view" not in cache:
-        cache["view"] = Workspace(rp, {}, {}, {}, extend=False)
+        cache["view"] = Workspace(rp, {}, {}, extend=False)
     view = cache["view"]
     if cache.get("support") != p.coords.keys():
         cache["support"], cache["reads_below"] = set(p.coords), {}
     reads_below = cache["reads_below"]
-    # A non-extending view never writes, so p's own tuples serve as its data.
-    view.cohen = p.cohen
-    view.t = {b: part.t for b, part in p.coords.items()}
+    # A non-extending view never writes, so p's own maps serve as its data.
+    view.cohen, view.coords = p.cohen, p.coords
     violations = []
 
     missing = q.support - p.support

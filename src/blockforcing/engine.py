@@ -14,13 +14,7 @@ run's merges are its clause 3a certificates.
 from dataclasses import dataclass
 
 from .blocks import BitSeq, IncSeq
-from .conditions import (
-    Condition,
-    CoordPart,
-    condition_of,
-    leq_check,
-    workspace_of,
-)
+from .conditions import Condition, condition_of, leq_check
 from .errors import BlockForcingError, NotIncomparable, ResolutionExhausted
 from .names import (
     GroundName,
@@ -31,6 +25,7 @@ from .names import (
 )
 # Not called here: perfbench/tracing.py counts calls through this name, so it stays bound.
 from .poset import restricted_linear_order
+from .resolution import CoordPart, Workspace
 
 
 @dataclass(frozen=True)
@@ -141,11 +136,12 @@ def _separate(ws, a, b, floor_n):
     """
     if ws.rp.poset.leq(a, b):
         raise NotIncomparable(f"{a!r} <= {b!r}, nothing to separate")
-    gap_index = max(floor_n, len(ws.t[b]))
-    above_a = ws.t[a][-1] + 1 if ws.t[a] else 0
-    while len(ws.t[b]) < gap_index + 2:
+    t_a, t_b = ws.coords[a].t, ws.coords[b].t
+    gap_index = max(floor_n, len(t_b))
+    above_a = t_a[-1] + 1 if t_a else 0
+    while len(t_b) < gap_index + 2:
         ws.cascade(ws.rp.rank_of(b), top=b, floor=above_a)
-    gap = (ws.t[b][gap_index], ws.t[b][gap_index + 1])
+    gap = (t_b[gap_index], t_b[gap_index + 1])
     ws.cascade(ws.rp.rank_of(a), top=a, floor=gap[1] + 1)
     return gap_index, gap
 
@@ -203,7 +199,7 @@ def build_generic(rp, goals, resolution):
         raise ValueError(f"step budget must be at least 1, got {resolution}")
 
     chain = [start_condition(rp)]
-    ws = workspace_of(chain[0], rp)
+    ws = Workspace(rp, chain[0].cohen, chain[0].coords)
     certs = {}
     ledger = []
     met = [False] * len(goals)
@@ -217,7 +213,7 @@ def build_generic(rp, goals, resolution):
         # sequence already; record them without spending the budget.
         lengths = [i for i in lengths if not met[i]]
         for i in lengths:
-            have = len(ws.t[goals[i].elem])
+            have = len(ws.coords[goals[i].elem].t)
             if have >= goals[i].n:
                 met[i] = True
                 ledger.append(LedgerEntry(i, len(chain) - 1, {"length": have}))
@@ -237,8 +233,9 @@ def build_generic(rp, goals, resolution):
 
         if isinstance(goal, LengthGoal):
             _ladder(ws)
-            done = len(ws.t[goal.elem]) >= goal.n
-            info = {"length": len(ws.t[goal.elem])}
+            have = len(ws.coords[goal.elem].t)
+            done = have >= goal.n
+            info = {"length": have}
         elif isinstance(goal, CohenDisagreeGoal):
             bits = ws.cohen[goal.rank]
             position = max(goal.beyond, len(bits))
@@ -246,9 +243,10 @@ def build_generic(rp, goals, resolution):
             done = True
             info = {"position": position, "bit": bits[position]}
         elif isinstance(goal, DominateGoal):
-            merged = MergeName(ws.names[goal.elem], goal.target)
-            ws.names[goal.elem] = certs.setdefault(merged, merged)
-            swap_length = len(ws.t[goal.elem])
+            vals, name = ws.coords[goal.elem]
+            merged = MergeName(name, goal.target)
+            ws.coords[goal.elem] = CoordPart(vals, certs.setdefault(merged, merged))
+            swap_length = len(vals)
             _ladder(ws, up_to=rp.ranks[goal.elem])
             done = True
             info = {
@@ -260,7 +258,7 @@ def build_generic(rp, goals, resolution):
             done = True
             info = {"index": gap_index, "block": list(gap)}
 
-        p = condition_of(ws, rp)
+        p = condition_of(ws, rp, chain[-1])
         report = leq_check(p, chain[-1], rp, certs, cache=check_cache)
         if not report:
             raise BlockForcingError(

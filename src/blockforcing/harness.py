@@ -467,7 +467,7 @@ def report_json(run, iso, cov, sc):
         "coverage": [{**asdict(e), "misses": list(e.misses)} for e in cov.entries],
         "coverage_ok": cov.ok,
         "derived": {
-            "cohen": {str(r): BitSeq(bits).to01() for r, bits in sorted(run.derived.cohen.items())},
+            "cohen": {str(r): bits.to01() for r, bits in sorted(run.derived.cohen.items())},
             "dominating": {b: list(t) for b, t in sorted(run.derived.dominating.items())},
         },
     }

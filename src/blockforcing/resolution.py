@@ -1,17 +1,20 @@
 """The shared state a run advances, and how names read blocks off it.
 
-A workspace is mutable scratch: one bit list per rank (Cohen prefixes),
-one value list per coordinate (the t-sequences) and a name per
-coordinate.  The support is the set of coordinates t holds; no query
-adds one, so a coordinate name outside it reads None.  A workspace
-comes in two modes.  With ``extend=True`` a block query is allowed to
-grow the state (append Cohen bits, cascade lower coordinates) and
-whatever it grows is kept, so the block it certifies stays determined
-from then on.  With ``extend=False`` queries answer from present data
-only and return None rather than speculate; that is the mode the order
-check runs in, since a statement is only forced when the data already
-decides it.  Such a view never writes, so the order check points one
-at each link's own tuples in turn.
+A workspace holds run state in a condition's own shape: ``cohen`` maps
+each rank to its Cohen prefix, and ``coords`` maps each coordinate to a
+:class:`CoordPart`, its t-sequence and its name.  In an extending
+workspace the prefixes and t-sequences are lists that grow only at
+their ends (``append_t`` and the Cohen extends are the only writes),
+and a name is replaced, never edited.  The support is the set of
+coordinates in ``coords``; no query adds one, so a coordinate name
+outside it reads None.  With ``extend=True`` a block query may grow
+the state (append Cohen bits, cascade lower coordinates), and whatever
+it grows is kept, so the block it certifies stays determined.  With
+``extend=False`` queries answer from present data only and return None
+rather than speculate; the order check runs in that mode, since a
+statement is only forced when the data already decides it.  Such a
+view never writes, so the order check points one at each link's own
+maps in turn.
 
 A workspace compiles each name it is asked about once, into a tree of
 walks linked as the name is: ground (arithmetic), coordinate, diagonal
@@ -37,6 +40,7 @@ nested merge walk does not overshoot the ranks around it.
 """
 
 from bisect import bisect_left
+from typing import NamedTuple
 
 from .errors import CannotAdvance
 from .names import CoordinateName, DiagonalName, GroundName, MergeName
@@ -85,11 +89,12 @@ class _Coordinate(_Walk):
     __slots__ = ()
 
     def boundaries(self, ws):
-        return ws.t.get(self.nm.element, ())
+        part = ws.coords.get(self.nm.element)
+        return part.t if part else ()
 
     def grow(self, ws, hs, lo):
-        # a's cascade floored at lo (each round gives t_a a value >= lo); none outside t.
-        if not ws.extend or self.nm.element not in ws.t:
+        # a's cascade floored at lo (each round gives t_a a value >= lo); none outside the support.
+        if not ws.extend or self.nm.element not in ws.coords:
             return False
         ws.cascade(ws.rp.ranks[self.nm.element], top=self.nm.element, floor=lo)
         return True
@@ -142,19 +147,25 @@ class _Merge(_Walk):
 _LEAF_WALKS = {GroundName: _Ground, CoordinateName: _Coordinate, DiagonalName: _Diagonal}
 
 
+class CoordPart(NamedTuple):
+    """A coordinate's t-sequence (a list in a workspace, a tuple in a condition) and name."""
+
+    t: tuple
+    name: object
+
+
 class Workspace:
-    def __init__(self, rp, cohen, t, names, extend=True):
+    def __init__(self, rp, cohen, coords, extend=True):
         self.rp = rp
         self.cohen = {rank: list(bits) for rank, bits in cohen.items()}
-        self.t = {b: list(vals) for b, vals in t.items()}
-        self.names = dict(names)
+        self.coords = {b: CoordPart(list(part.t), part.name) for b, part in coords.items()}
         self.extend = extend
         self._walks = {}
 
     @property
     def support(self):
-        """The coordinates present: the keys of t."""
-        return self.t.keys()
+        """The coordinates present: the keys of coords."""
+        return self.coords.keys()
 
     # -- block queries --
 
@@ -192,7 +203,7 @@ class Workspace:
 
     def append_t(self, b, value):
         """Append value to t_b: the one write to a t-sequence."""
-        self.t[b].append(value)
+        self.coords[b].t.append(value)
 
     def cascade(self, rank, top=None, floor=0):
         """Grow the support at rank by one value its selection shares.
@@ -216,22 +227,23 @@ class Workspace:
         chosen = [
             x
             for x in self.rp.at_rank.get(rank, ())
-            if x in self.t and (top is None or x == top or (x, top) in pairs)
+            if x in self.coords and (top is None or x == top or (x, top) in pairs)
         ]
         if not chosen or top is not None and top not in chosen:
             raise ValueError(f"nothing to cascade at rank {rank} under {top!r}")
         if len(chosen) > 1 and self.rp.same_rank_pairs:
             selected = set(chosen)
+            coords = self.coords
             for c, b in self.rp.same_rank_pairs:
-                if c in selected and b in selected and _last(self.t[b]) < _last(self.t[c]):
+                if c in selected and b in selected and _last(coords[b].t) < _last(coords[c].t):
                     raise ValueError(
                         f"{b!r} < {c!r} at rank {rank}, but t at {b!r} ends before t at {c!r}"
                     )
         value = floor
         for x in chosen:
-            vals = self.t[x]
+            vals, nm = self.coords[x]
             lo = vals[-1] if vals else 0
-            blk = self.next_block(self.names[x], lo)
+            blk = self.next_block(nm, lo)
             if blk is None:
                 raise CannotAdvance(f"name at {x!r} yields no block past {lo}")
             value = max(value, blk[1])

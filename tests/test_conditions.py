@@ -31,7 +31,6 @@ from blockforcing.conditions import (
     Condition,
     CoordPart,
     condition_of,
-    workspace_of,
 )
 from blockforcing.engine import start_condition
 from blockforcing.names import coordinate_elements, descriptor, diagonal_ranks
@@ -369,8 +368,9 @@ def test_dropped_workspaces_free_without_the_cycle_collector():
     # Walks hold no workspace, so neither an extending workspace nor the
     # order check's cached view is kept alive by a reference cycle.
     run = build_generic(V_RP, build_goals(V_RP, (ZEROS,), GoalPlan()), 10**6)
-    ws = workspace_of(run.chain[-1], V_RP)
-    ws.next_block(ws.names["c"], ws.t["c"][-1])
+    last = run.chain[-1]
+    ws = Workspace(V_RP, last.cohen, last.coords)
+    ws.next_block(ws.coords["c"].name, ws.coords["c"].t[-1])
     cache = {}
     for q, p in zip(run.chain, run.chain[1:]):
         assert leq_check(p, q, V_RP, run.certificates, cache=cache)
@@ -440,13 +440,13 @@ def _walk(ws, nm, target_len):
 
 
 def _empty_ws(rp=POINT_RP):
-    return Workspace(rp, {}, {}, {})
+    return Workspace(rp, {}, {})
 
 
 def test_resolve_ground_is_pure():
     ws = _empty_ws()
     assert _walk(ws, GroundName(0, 1), 5) == [0, 1, 2, 3, 4]
-    assert condition_of(ws, POINT_RP) == EMPTY
+    assert condition_of(ws, POINT_RP, EMPTY) == EMPTY
     assert ws.cohen == {}
 
 
@@ -454,7 +454,7 @@ def test_resolve_diagonal_flips_the_pattern():
     ws = _empty_ws()
     assert _walk(ws, DiagonalName(ZEROS, 0), 3) == [0, 1, 2]
     assert ws.cohen == {0: [1, 1, 1]}
-    assert ws.t == {} and ws.support == set()
+    assert ws.coords == {} and ws.support == set()
 
 
 def test_resolve_merge_covers_both_children():
@@ -468,9 +468,10 @@ def test_resolve_merge_covers_both_children():
 
 def test_resolve_coordinate_ladders_the_condition():
     rp = compute_ranks(Poset(["a"]))
-    ws = workspace_of(start_condition(rp), rp)
+    q = start_condition(rp)
+    ws = Workspace(rp, q.cohen, q.coords)
     assert _walk(ws, CoordinateName("a"), 3) == [1, 2, 3]
-    assert condition_of(ws, rp).coords["a"].t == (1, 2, 3)
+    assert condition_of(ws, rp, EMPTY).coords["a"].t == (1, 2, 3)
 
 
 def test_resolve_prefix_stability():
@@ -517,16 +518,16 @@ def test_diagonal_walks_match_a_brute_force_scan(word, specs, seed, queries):
     queries = [(nm, 0) for nm in names] + [(names[k % len(names)], lo) for k, lo in queries]
 
     # A shared view answers as a fresh one would, in any query order.
-    shared = Workspace(POINT_RP, {0: word}, {}, {}, extend=False)
+    shared = Workspace(POINT_RP, {0: word}, {}, extend=False)
     for nm, lo in queries:
-        fresh = Workspace(POINT_RP, {0: word}, {}, {}, extend=False)
+        fresh = Workspace(POINT_RP, {0: word}, {}, extend=False)
         expected = _disagreement_oracle(word, nm.pattern, lo)
         assert shared.next_block(nm, lo) == fresh.next_block(nm, lo) == expected
     assert shared.cohen[0] == word
 
     # An extending workspace grows the word only by flips of the pattern
     # it reads, and only up to one past the block it returns.
-    ws = Workspace(POINT_RP, {0: word}, {}, {})
+    ws = Workspace(POINT_RP, {0: word}, {})
     for nm, lo in queries:
         old = list(ws.cohen[0])
         block = ws.next_block(nm, lo)
@@ -585,7 +586,12 @@ def _brute_force_bounds(nm, cohen, t, limit=400):
 
 
 def _state(ws):
-    return {r: list(v) for r, v in ws.cohen.items()}, {b: list(v) for b, v in ws.t.items()}
+    cohen = {r: list(v) for r, v in ws.cohen.items()}
+    return cohen, {b: list(part.t) for b, part in ws.coords.items()}
+
+
+def _coords(t, names):
+    return {b: CoordPart(vals, names[b]) for b, vals in t.items()}
 
 
 @settings(max_examples=150, deadline=None)
@@ -604,11 +610,11 @@ def test_merge_walks_match_a_brute_force_merge(names, cohen, t, queries, extend)
     # query leaves: the first boundary is the earlier child start, each later
     # one the further child block end.
     own = {"a": GroundName(0, 2), "b": GroundName(1, 3)}
-    shared = Workspace(PAIR_RP, cohen, t, own, extend=extend)
+    shared = Workspace(PAIR_RP, cohen, _coords(t, own), extend=extend)
     queries = [(names[k % len(names)], lo) for k, lo in queries]
     for nm, lo in queries:
         before = _state(shared)
-        fresh = Workspace(PAIR_RP, *before, own, extend=extend)
+        fresh = Workspace(PAIR_RP, before[0], _coords(before[1], own), extend=extend)
         block = shared.next_block(nm, lo)
         assert fresh.next_block(nm, lo) == block
         assert _state(fresh) == _state(shared)
@@ -668,5 +674,5 @@ def test_walk_deeper_than_the_stack_cannot_advance():
 
 def test_workspace_round_trip():
     q = start_condition(V_RP)
-    assert condition_of(workspace_of(q, V_RP), V_RP) == q
+    assert condition_of(Workspace(V_RP, q.cohen, q.coords), V_RP, EMPTY) == q
 

@@ -1,5 +1,7 @@
 """The goal-driven engine: cascades, separations, verified chains."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,13 +29,14 @@ from blockforcing import (
     leq_check,
     run_scenario,
 )
-from blockforcing.conditions import Condition, CoordPart, condition_of, workspace_of
+from blockforcing.conditions import Condition, CoordPart, condition_of
 from blockforcing.engine import (
     _ladder,
     _separate,
     extract_reals_from,
     start_condition,
 )
+from blockforcing.resolution import Workspace
 from conftest import assert_chain_sound, random_poset
 
 
@@ -47,26 +50,31 @@ POINT = compute_ranks(Poset(["a"]))
 DIAMOND = compute_ranks(
     Poset(["w", "x", "y", "z"], [("x", "y"), ("x", "z"), ("y", "w"), ("z", "w")]), {"w"}
 )
+EMPTY = Condition({}, {})
+
+
+def _t(ws):
+    return {b: part.t for b, part in ws.coords.items()}
 
 
 def test_single_cascade_frozen_values():
-    ws = workspace_of(start_condition(ANTI_3), ANTI_3)
+    ws = _start_ws(ANTI_3)
     ws.cascade(0)
     # one round: each member's first ground block ends at 1, and all share it
-    assert ws.t == {"x": [1], "y": [1], "z": [1]}
+    assert _t(ws) == {"x": [1], "y": [1], "z": [1]}
 
 
 def test_cascade_over_diamond_levels():
     q = start_condition(DIAMOND)
-    ws = workspace_of(q, DIAMOND)
+    ws = Workspace(DIAMOND, q.cohen, q.coords)
     links = [q]
     for top in (None, "w", "y", "w"):
         ws.cascade(0, top=top)
-        links.append(condition_of(ws, DIAMOND))
+        links.append(condition_of(ws, DIAMOND, links[-1]))
         assert leq_check(links[-1], links[-2], DIAMOND)
     # rounds: all at 1; all at 2 (w's first gap [1, 2] shares its ends with
     # x's, y's and z's blocks); x, y at 3 (z and w untouched); all at 4
-    assert ws.t == {"x": [1, 2, 3, 4], "y": [1, 2, 3, 4], "z": [1, 2, 4], "w": [1, 2, 4]}
+    assert _t(ws) == {"x": [1, 2, 3, 4], "y": [1, 2, 3, 4], "z": [1, 2, 4], "w": [1, 2, 4]}
 
 
 @settings(max_examples=40, deadline=None)
@@ -79,20 +87,20 @@ def test_level_cascade_property(seed, top_index, floor):
     # three ladders of whole slices, then top's same-rank down-set twice
     rounds = [(r, None) for r in sorted(set(rp.ranks.values()))] * 3 + [(rp.ranks[top], top)] * 2
     prev = start_condition(rp)
-    ws = workspace_of(prev, rp)
+    ws = Workspace(rp, prev.cohen, prev.coords)
     for rank, sel in rounds:
         chosen = [
             x for x in elements if rp.ranks[x] == rank and (sel is None or poset.leq(x, sel))
         ]
-        before = {b: list(v) for b, v in ws.t.items()}
+        before = {b: list(v) for b, v in _t(ws).items()}
         ws.cascade(rank, top=sel, floor=floor)
         for x in elements:
-            assert ws.t[x][: len(before[x])] == before[x]
-            assert len(ws.t[x]) - len(before[x]) == (1 if x in chosen else 0)
-        (value,) = {ws.t[x][-1] for x in chosen}
+            assert ws.coords[x].t[: len(before[x])] == before[x]
+            assert len(ws.coords[x].t) - len(before[x]) == (1 if x in chosen else 0)
+        (value,) = {ws.coords[x].t[-1] for x in chosen}
         assert value >= floor
         assert all(value > last for x in chosen for last in before[x])
-        p = condition_of(ws, rp)
+        p = condition_of(ws, rp, prev)
         report = leq_check(p, prev, rp)
         assert report.ok, report.violations
         prev = p
@@ -152,14 +160,14 @@ def test_same_rank_chain_growth_is_quadratic():
 
 
 def test_cascade_rejects_empty_selection():
-    ws = workspace_of(start_condition(V_RP), V_RP)
+    ws = _start_ws(V_RP)
     with pytest.raises(ValueError):
         ws.cascade(2)  # no support member at that rank
     with pytest.raises(ValueError):
         ws.cascade(0, top="c")  # c sits at rank 1
     with pytest.raises(ValueError):
         ws.cascade(0, top="ghost")
-    assert ws.t == {"a": [], "b": [], "c": []}
+    assert _t(ws) == {"a": [], "b": [], "c": []}
 
 
 def test_cascade_refuses_a_lower_member_that_ends_first():
@@ -169,49 +177,50 @@ def test_cascade_refuses_a_lower_member_that_ends_first():
         cohen={0: ()},
         coords={"a": CoordPart((1,), GroundName(0, 1)), "b": CoordPart((5,), GroundName(0, 1))},
     )
-    ws = workspace_of(q, TIED_CHAIN)
+    ws = Workspace(TIED_CHAIN, q.cohen, q.coords)
     with pytest.raises(ValueError):
         ws.cascade(0, top="b")
     with pytest.raises(ValueError):
         ws.cascade(0)
-    assert ws.t == {"a": [1], "b": [5]}
+    assert _t(ws) == {"a": [1], "b": [5]}
     # a alone is no pair, so it still grows; once it has caught up, so does b
     ws.cascade(0, top="a", floor=5)
     ws.cascade(0, top="b")
-    assert ws.t == {"a": [1, 5, 6], "b": [5, 6]}
-    assert leq_check(condition_of(ws, TIED_CHAIN), q, TIED_CHAIN)
+    assert _t(ws) == {"a": [1, 5, 6], "b": [5, 6]}
+    assert leq_check(condition_of(ws, TIED_CHAIN, EMPTY), q, TIED_CHAIN)
 
 
 def _start_ws(rp):
-    return workspace_of(start_condition(rp), rp)
+    q = start_condition(rp)
+    return Workspace(rp, q.cohen, q.coords)
 
 
 def test_ladder_extend_single_coordinate():
     q = start_condition(POINT)
-    ws = workspace_of(q, POINT)
+    ws = Workspace(POINT, q.cohen, q.coords)
     _ladder(ws, up_to=0)
-    assert ws.t["a"] == [1]
+    assert ws.coords["a"].t == [1]
     _ladder(ws, up_to=0)
-    assert ws.t["a"] == [1, 2]
-    assert leq_check(condition_of(ws, POINT), q, POINT)
+    assert ws.coords["a"].t == [1, 2]
+    assert leq_check(condition_of(ws, POINT, EMPTY), q, POINT)
 
 
 def test_ladder_runs_lower_ranks_first():
     ws = _start_ws(V_RP)
     _ladder(ws, up_to=1)
     # a and b share rank 0's one value; c's cascade selects c alone
-    assert ws.t == {"a": [1], "b": [1], "c": [1]}
+    assert _t(ws) == {"a": [1], "b": [1], "c": [1]}
 
 
 def test_ladder_extend_random_posets():
     for seed in range(12):
         rp = compute_ranks(random_poset(seed))
         q = start_condition(rp)
-        ws = workspace_of(q, rp)
+        ws = Workspace(rp, q.cohen, q.coords)
         prev = q
         for rank in sorted(set(rp.ranks.values())):
             _ladder(ws, up_to=rank)
-            p = condition_of(ws, rp)
+            p = condition_of(ws, rp, prev)
             assert leq_check(p, prev, rp)
             prev = p
         assert leq_check(prev, q, rp)
@@ -219,16 +228,16 @@ def test_ladder_extend_random_posets():
 
 def test_separation_frozen_two_antichain():
     q = start_condition(ANTI_2)
-    ws = workspace_of(q, ANTI_2)
+    ws = Workspace(ANTI_2, q.cohen, q.coords)
     assert _separate(ws, "a", "b", 0) == (0, (1, 2))
-    assert ws.t == {"a": [3], "b": [1, 2]}
-    assert leq_check(condition_of(ws, ANTI_2), q, ANTI_2)
+    assert _t(ws) == {"a": [3], "b": [1, 2]}
+    assert leq_check(condition_of(ws, ANTI_2, EMPTY), q, ANTI_2)
 
 
 def test_separation_honors_floor():
     ws = _start_ws(ANTI_2)
     _separate(ws, "a", "b", 3)
-    assert ws.t == {"a": [6], "b": [1, 2, 3, 4, 5]}
+    assert _t(ws) == {"a": [6], "b": [1, 2, 3, 4, 5]}
 
 
 def test_separation_rejects_comparable():
@@ -309,6 +318,60 @@ def test_star_nests_past_the_old_depth_bound():
     run = build_generic(rp, goals, 256)
     top = run.chain[-1].coords["top"]
     assert top.name.depth == 65 and len(top.t) >= 2
+
+
+def test_links_share_what_did_not_grow():
+    # A coordinate whose name and t-length a step left alone is the
+    # previous link's own part, and so is a Cohen word of the same length.
+    leaves = [f"l{i}" for i in range(6)]
+    rp = compute_ranks(Poset(leaves + ["top"], [(x, "top") for x in leaves]))
+    run = build_generic(rp, build_goals(rp, (), GoalPlan()), 10**6)
+    grown = []
+    for q, p in zip(run.chain, run.chain[1:]):
+        moved = set()
+        for b, part in p.coords.items():
+            old = q.coords[b]
+            if part.name is old.name and len(part.t) == len(old.t):
+                assert part is old
+            else:
+                moved.add(b)
+        for r, bits in p.cohen.items():
+            if len(bits) == len(q.cohen[r]):
+                assert bits is q.cohen[r]
+        grown.append(moved)
+    separations = [
+        grown[entry.met_at - 1]
+        for entry in run.ledger
+        if isinstance(run.goals[entry.goal_index], IncomparableGoal)
+    ]
+    assert any(len(moved) == 2 for moved in separations)
+
+
+def test_frozen_links_do_not_move():
+    # Links stay as they were frozen while the workspace grows on, and the
+    # workspace never writes into the condition it was built from.
+    q = start_condition(V_RP)
+    start = copy.deepcopy(q)
+    ws = Workspace(V_RP, q.cohen, q.coords)
+    links, frozen = [q], [start]
+
+    def freeze():
+        links.append(condition_of(ws, V_RP, links[-1]))
+        frozen.append(copy.deepcopy(links[-1]))
+
+    _ladder(ws)
+    freeze()
+    t_c, name_c = ws.coords["c"]
+    ws.coords["c"] = CoordPart(t_c, MergeName(name_c, DiagonalName(GroundReal("zeros"), 1)))
+    freeze()
+    _ladder(ws)
+    freeze()
+    _separate(ws, "a", "b", 0)
+    freeze()
+    _ladder(ws)
+    assert len(ws.cohen[1]) > len(links[-1].cohen[1]) > 0
+    assert links == frozen
+    assert q == start
 
 
 def test_cohen_disagree_goals():

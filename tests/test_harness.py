@@ -332,6 +332,7 @@ def test_report_shape_and_determinism():
 
 
 CHAIN_4 = ["a", "b", "c", "d"]
+STAR_5 = ["l0", "l1", "l2", "l3", "l4"]
 FROZEN_REPORTS = {
     "v-demo": (
         None,
@@ -355,6 +356,16 @@ FROZEN_REPORTS = {
         {"poset": TIED_JSON, "ground_reals": ["zeros"], "question_variant": True},
         "59e6f954da2853c1ee2b3c62d7b7093b2555d46885886a8cf01dd1341c08ca84",
     ),
+    "star-5": (
+        {
+            "poset": {
+                "elements": STAR_5 + ["top"],
+                "relations": [[x, "top"] for x in STAR_5],
+            },
+            "ground_reals": ["zeros", "seeded-random:1"],
+        },
+        "fa1c0ce41f4d451d0292cbb29a8587ac48ef152f243800ff6ca51438306a741b",
+    ),
 }
 
 
@@ -363,7 +374,9 @@ def test_report_bytes_frozen(case):
     # Refactors of the engine or the audits must leave reports
     # byte-identical.  Between them these shapes reach the reflexive,
     # same-rank, dominates and recorded-blocks routes, pattern coverage
-    # and the variant list.
+    # and the variant list.  In the star most links leave most
+    # coordinates as they were, and Cohen words grow inside nested
+    # diagonal walks.
     obj, digest = FROZEN_REPORTS[case]
     sc = load_scenario(DEMO_SCENARIO) if obj is None else _scenario(obj)
     report = render_report(*run_scenario(sc), sc)
