@@ -78,15 +78,15 @@ def restrict(p, b, rp):
     )
 
 
-def condition_of(ws, rp, prev):
-    """ws frozen as a condition that shares with prev every piece that did not grow."""
+def condition_of(ws, prev):
+    """ws frozen, at ws.rp's ranks, sharing with prev every piece that did not grow."""
     coords = {}
     for b, (vals, name) in sorted(ws.coords.items()):
         old = prev.coords.get(b)
         grew = old is None or old.name is not name or len(old.t) != len(vals)
         coords[b] = CoordPart(tuple(vals), name) if grew else old
     cohen = {}
-    for r in sorted({rp.ranks[x] for x in coords}):
+    for r in sorted({ws.rp.ranks[x] for x in coords}):
         bits, old = ws.cohen.get(r, ()), prev.cohen.get(r)
         cohen[r] = tuple(bits) if old is None or len(old) != len(bits) else old
     return Condition(cohen, coords)
@@ -100,11 +100,14 @@ def _reads_below(nm, b, p, rp):
 
 
 def _names_linked(old, new, certs):
-    # Each certificate is a merge the run made over the name it replaced,
-    # its left child, so a certified path from old to new runs down new's left spine.
+    # Each certificate is a merge the run made over the name it replaced, its left
+    # child, so a certified path runs down new's left spine; identity is tested first.
     cur = new
-    while cur is not old and cur != old:
-        if not isinstance(cur, MergeName) or cur not in certs:
+    while cur is not old:
+        certified = isinstance(cur, MergeName) and cur in certs
+        if (certified and cur.left is old) or cur == old:
+            return True
+        if not certified:
             return False
         cur = cur.left
     return True

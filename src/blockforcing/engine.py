@@ -118,7 +118,7 @@ def _ladder(ws, up_to=None):
     Lower ranks go first, mirroring the inductive structure: a name at a
     higher rank may read (and further extend) what lower cascades wrote.
     """
-    for rank in sorted({ws.rp.ranks[y] for y in ws.support}):
+    for rank in sorted({ws.rp.ranks[y] for y in ws.coords}):
         if up_to is None or rank <= up_to:
             ws.cascade(rank)
 
@@ -186,9 +186,9 @@ def build_generic(rp, goals, resolution):
     """Serve every goal within the step budget, verifying each link.
 
     Goals are served from a cursor at the first unmet goal; goals before
-    it are all met.  Before each step, the unmet length goals (kept as
-    their own index list) are checked for having come for free, in goal
-    order, so the ledger is the same as a full rescan would give.
+    it are all met.  A served length goal only ladders: before each step
+    the unmet length goals (their own index list) are recorded, in goal
+    order, once long enough, so the ledger is what a full rescan gives.
 
     Raises ResolutionExhausted (listing unmet goal indices) when the
     budget runs out first.  Fully deterministic.
@@ -209,8 +209,8 @@ def build_generic(rp, goals, resolution):
     steps = 0
 
     while True:
-        # Length goals can come for free when other steps grew the
-        # sequence already; record them without spending the budget.
+        # The one place a length goal is recorded: a served one is the cursor,
+        # the smallest unmet length goal, so this scan records it first.
         lengths = [i for i in lengths if not met[i]]
         for i in lengths:
             have = len(ws.coords[goals[i].elem].t)
@@ -233,14 +233,11 @@ def build_generic(rp, goals, resolution):
 
         if isinstance(goal, LengthGoal):
             _ladder(ws)
-            have = len(ws.coords[goal.elem].t)
-            done = have >= goal.n
-            info = {"length": have}
+            info = None
         elif isinstance(goal, CohenDisagreeGoal):
             bits = ws.cohen[goal.rank]
             position = max(goal.beyond, len(bits))
             bits.extend(1 - goal.real.bit(j) for j in range(len(bits), position + 1))
-            done = True
             info = {"position": position, "bit": bits[position]}
         elif isinstance(goal, DominateGoal):
             vals, name = ws.coords[goal.elem]
@@ -248,24 +245,22 @@ def build_generic(rp, goals, resolution):
             ws.coords[goal.elem] = CoordPart(vals, certs.setdefault(merged, merged))
             swap_length = len(vals)
             _ladder(ws, up_to=rp.ranks[goal.elem])
-            done = True
             info = {
                 "swap_length": swap_length,
                 "block_threshold": max(0, swap_length - 1),
             }
         else:
             gap_index, gap = _separate(ws, goal.a, goal.b, goal.beyond)
-            done = True
             info = {"index": gap_index, "block": list(gap)}
 
-        p = condition_of(ws, rp, chain[-1])
+        p = condition_of(ws, chain[-1])
         report = leq_check(p, chain[-1], rp, certs, cache=check_cache)
         if not report:
             raise BlockForcingError(
                 f"engine emitted an invalid link for goal {i}: {report.violations}"
             )
         chain.append(p)
-        if done:
+        if info is not None:
             met[i] = True
             ledger.append(LedgerEntry(i, len(chain) - 1, info))
 

@@ -9,9 +9,11 @@ must disagree with every registered pattern inside every late block of
 every maximal coordinate.  The audits take the engine's ledger (its
 domination thresholds and recorded gaps) as claims only, and re-check
 each one with the finite combinatorics layer, so they would catch the
-engine lying.  The order audit compares whole blocks as tuple slices,
-and every witness word it builds is still re-checked: it must disagree
-with x in every judged block of t_a and copy y on two blocks of t_b.
+engine lying.  The order audit compares whole blocks as tuple slices.
+A separated cell needs a clean recorded gap and a witness word that
+re-checks (``witness_valid: false`` leaves it undetermined): the word
+must disagree with x in every judged block of t_a and copy y on two
+blocks of t_b.  Each rank's Cohen word is padded once, for every witness.
 """
 
 import json
@@ -246,13 +248,6 @@ def _ledger_evidence(run):
     return coord_thresholds, pattern_thresholds, gaps
 
 
-def _padded(bits, length):
-    word = tuple(bits)
-    if len(word) >= length:
-        return word
-    return word + (0,) * (length - len(word))
-
-
 def _gap_is_clean(d_a, d_b, index, block):
     lo, hi = block
     av, bv = d_a.values, d_b.values
@@ -262,16 +257,11 @@ def _gap_is_clean(d_a, d_b, index, block):
     return i == len(av) or av[i] >= hi
 
 
-def _witness_evidence(run, a, b, d_a, d_b):
-    """Build and re-check an explicit separating word for the pair."""
-    rp = run.rp
-    limit = max(d_a.last, d_b.last)
-    w = Window(0, limit)
-    x = _padded(run.derived.cohen[rp.ranks[a]], limit)
-    y = _padded(run.derived.cohen[rp.ranks[b]], limit)
+def _witness_evidence(x, y, d_a, d_b, w):
+    """Build and re-check a separating word from rank words padded to cover w."""
     try:
         z = non_subset_witness(x, y, d_a, d_b, w)
-    except (InsufficientViolations, LengthTooShort) as err:
+    except InsufficientViolations as err:
         return {"witness_valid": False, "witness_note": str(err)}
     zv, bv = z.bits, d_b.values
     agreeing = sum(zv[lo:hi] == y[lo:hi] for lo, hi in zip(bv, bv[1:]))
@@ -284,14 +274,19 @@ def check_isomorphism(run, question_variant=False):
 
     Certification only ever runs in the expected direction, so a cell is
     either certified to match the order or left undetermined; ``ok``
-    means no cell is undetermined.
+    means no cell is undetermined.  A separated cell needs a clean gap
+    and a witness that re-checks.  Witnesses share one window and each
+    rank's word, padded to it once; each reads nothing past its pair's
+    larger last value, so a pair judges the blocks its own window would.
     """
     rp = run.rp
     elements = sorted(rp.poset.elements)
     dom = {b: run.derived.dominating[b] for b in elements}
     thresholds, _, gaps = _ledger_evidence(run)
+    limit = max((d.last for d in dom.values() if len(d)), default=0)
+    w = Window(0, limit)
+    words = {r: bits.bits + (0,) * (limit - len(bits)) for r, bits in run.derived.cohen.items()}
     cells = {}
-    ok = True
     variant = []
 
     for a in elements:
@@ -336,20 +331,18 @@ def check_isomorphism(run, question_variant=False):
                     for index, block in recorded
                 ]
                 evidence = {"route": "recorded-blocks", "gaps": audited}
+                verdict = "undetermined"
                 if any(g["clean"] for g in audited):
-                    verdict = "non-subset-certified"
-                    evidence.update(_witness_evidence(run, a, b, d_a, d_b))
-                else:
-                    verdict = "undetermined"
-                    if not recorded:
-                        evidence["note"] = "no separating goal was met for this pair"
-            if verdict == "undetermined":
-                ok = False
-            elif (verdict == "subset-certified") != rp.poset.leq(a, b):
-                ok = False
+                    x, y = words[rp.ranks[a]], words[rp.ranks[b]]
+                    evidence.update(_witness_evidence(x, y, d_a, d_b, w))
+                    if evidence["witness_valid"]:
+                        verdict = "non-subset-certified"
+                elif not recorded:
+                    evidence["note"] = "no separating goal was met for this pair"
             row[b] = {"verdict": verdict, "evidence": evidence}
         cells[a] = row
 
+    ok = all(c["verdict"] != "undetermined" for row in cells.values() for c in row.values())
     return IsomorphismReport(cells=cells, ok=ok, variant_undetermined=tuple(variant))
 
 

@@ -162,11 +162,6 @@ class Workspace:
         self.extend = extend
         self._walks = {}
 
-    @property
-    def support(self):
-        """The coordinates present: the keys of coords."""
-        return self.coords.keys()
-
     # -- block queries --
 
     def next_block(self, nm, lo):

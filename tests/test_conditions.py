@@ -446,7 +446,7 @@ def _empty_ws(rp=POINT_RP):
 def test_resolve_ground_is_pure():
     ws = _empty_ws()
     assert _walk(ws, GroundName(0, 1), 5) == [0, 1, 2, 3, 4]
-    assert condition_of(ws, POINT_RP, EMPTY) == EMPTY
+    assert condition_of(ws, EMPTY) == EMPTY
     assert ws.cohen == {}
 
 
@@ -454,7 +454,7 @@ def test_resolve_diagonal_flips_the_pattern():
     ws = _empty_ws()
     assert _walk(ws, DiagonalName(ZEROS, 0), 3) == [0, 1, 2]
     assert ws.cohen == {0: [1, 1, 1]}
-    assert ws.coords == {} and ws.support == set()
+    assert ws.coords == {}
 
 
 def test_resolve_merge_covers_both_children():
@@ -471,7 +471,7 @@ def test_resolve_coordinate_ladders_the_condition():
     q = start_condition(rp)
     ws = Workspace(rp, q.cohen, q.coords)
     assert _walk(ws, CoordinateName("a"), 3) == [1, 2, 3]
-    assert condition_of(ws, rp, EMPTY).coords["a"].t == (1, 2, 3)
+    assert condition_of(ws, EMPTY).coords["a"].t == (1, 2, 3)
 
 
 def test_resolve_prefix_stability():
@@ -674,5 +674,5 @@ def test_walk_deeper_than_the_stack_cannot_advance():
 
 def test_workspace_round_trip():
     q = start_condition(V_RP)
-    assert condition_of(Workspace(V_RP, q.cohen, q.coords), V_RP, EMPTY) == q
+    assert condition_of(Workspace(V_RP, q.cohen, q.coords), EMPTY) == q
 

@@ -70,7 +70,7 @@ def test_cascade_over_diamond_levels():
     links = [q]
     for top in (None, "w", "y", "w"):
         ws.cascade(0, top=top)
-        links.append(condition_of(ws, DIAMOND, links[-1]))
+        links.append(condition_of(ws, links[-1]))
         assert leq_check(links[-1], links[-2], DIAMOND)
     # rounds: all at 1; all at 2 (w's first gap [1, 2] shares its ends with
     # x's, y's and z's blocks); x, y at 3 (z and w untouched); all at 4
@@ -100,7 +100,7 @@ def test_level_cascade_property(seed, top_index, floor):
         (value,) = {ws.coords[x].t[-1] for x in chosen}
         assert value >= floor
         assert all(value > last for x in chosen for last in before[x])
-        p = condition_of(ws, rp, prev)
+        p = condition_of(ws, prev)
         report = leq_check(p, prev, rp)
         assert report.ok, report.violations
         prev = p
@@ -187,7 +187,7 @@ def test_cascade_refuses_a_lower_member_that_ends_first():
     ws.cascade(0, top="a", floor=5)
     ws.cascade(0, top="b")
     assert _t(ws) == {"a": [1, 5, 6], "b": [5, 6]}
-    assert leq_check(condition_of(ws, TIED_CHAIN, EMPTY), q, TIED_CHAIN)
+    assert leq_check(condition_of(ws, EMPTY), q, TIED_CHAIN)
 
 
 def _start_ws(rp):
@@ -202,7 +202,7 @@ def test_ladder_extend_single_coordinate():
     assert ws.coords["a"].t == [1]
     _ladder(ws, up_to=0)
     assert ws.coords["a"].t == [1, 2]
-    assert leq_check(condition_of(ws, POINT, EMPTY), q, POINT)
+    assert leq_check(condition_of(ws, EMPTY), q, POINT)
 
 
 def test_ladder_runs_lower_ranks_first():
@@ -220,7 +220,7 @@ def test_ladder_extend_random_posets():
         prev = q
         for rank in sorted(set(rp.ranks.values())):
             _ladder(ws, up_to=rank)
-            p = condition_of(ws, rp, prev)
+            p = condition_of(ws, prev)
             assert leq_check(p, prev, rp)
             prev = p
         assert leq_check(prev, q, rp)
@@ -231,7 +231,7 @@ def test_separation_frozen_two_antichain():
     ws = Workspace(ANTI_2, q.cohen, q.coords)
     assert _separate(ws, "a", "b", 0) == (0, (1, 2))
     assert _t(ws) == {"a": [3], "b": [1, 2]}
-    assert leq_check(condition_of(ws, ANTI_2, EMPTY), q, ANTI_2)
+    assert leq_check(condition_of(ws, EMPTY), q, ANTI_2)
 
 
 def test_separation_honors_floor():
@@ -356,7 +356,7 @@ def test_frozen_links_do_not_move():
     links, frozen = [q], [start]
 
     def freeze():
-        links.append(condition_of(ws, V_RP, links[-1]))
+        links.append(condition_of(ws, links[-1]))
         frozen.append(copy.deepcopy(links[-1]))
 
     _ladder(ws)

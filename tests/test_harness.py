@@ -257,6 +257,37 @@ def test_isomorphism_undetermined_without_goals():
     assert tied_iso.cells["a"]["b"]["verdict"] == "subset-certified"
 
 
+def test_separated_cell_needs_a_witness_that_rechecks(tmp_path, capsys):
+    # One recorded gap per pair is clean, but leaves one violating block:
+    # too few for a witness, so neither cell may read as separated.
+    obj = {"poset": {"elements": ["x", "y"]}, "plan": {"violations_per_incomparable_pair": 1}}
+    sc = _scenario(obj)
+    run, iso, cov = run_scenario(sc)
+    assert cov.ok and not iso.ok
+    for a, b in (("x", "y"), ("y", "x")):
+        cell = iso.cells[a][b]
+        assert cell["verdict"] == "undetermined"
+        assert any(g["clean"] for g in cell["evidence"]["gaps"])
+        assert cell["evidence"]["witness_valid"] is False
+    assert report_json(run, iso, cov, sc)["matrix_ok"] is False
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(obj))
+    assert main(["run", str(path), "--out", str(tmp_path / "report.json")]) == 1
+    assert "failed: order audit" in capsys.readouterr().err
+
+
+def test_order_audit_tolerates_empty_sequences():
+    # Only a Cohen goal: every t stays empty, so no cell can be decided.
+    rp = compute_ranks(V_POSET)
+    run = build_generic(rp, [CohenDisagreeGoal(0, GroundReal("zeros"), 0)], 8)
+    assert all(len(t) == 0 for t in run.derived.dominating.values())
+    iso = check_isomorphism(run)
+    assert not iso.ok
+    for a, row in iso.cells.items():
+        for b, cell in row.items():
+            assert cell["verdict"] == ("subset-certified" if a == b else "undetermined")
+
+
 def test_coverage_flags_unregistered_pattern():
     # the run only chased 'ones'; judging it against 'zeros' must fail,
     # because the Cohen word built against 'ones' agrees with 'zeros'
