@@ -12,10 +12,12 @@ run here must pass both audits and ``assert_chain_sound``:
   cascade's same-rank guard);
 - larger shapes (chain 16, star 24, antichain 20, random 16) with all
   four pattern kinds;
-- and reports written by ``blockforcing run`` must be byte-identical
-  under two hash seeds and under ``python -O``.
+- and reports written by ``blockforcing run`` must match pinned sha256
+  digests and be byte-identical under two hash seeds and under
+  ``python -O``.
 """
 
+import hashlib
 import json
 import os
 import random
@@ -27,30 +29,14 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
-from conftest import assert_chain_sound, random_poset  # noqa: E402
+# bounded_growth is autouse: importing it applies the tier-1 growth guard here too.
+from conftest import assert_chain_sound, bounded_growth, random_poset  # noqa: E402,F401
 
 from blockforcing import Poset, Scenario, compute_ranks, run_scenario  # noqa: E402
 from blockforcing.poset import dump_poset  # noqa: E402
-from blockforcing.resolution import Workspace  # noqa: E402
 
 RESOLUTION = 10**6
 KINDS = ("zeros", "ones", "periodic", "seeded-random")
-# Growth is polynomial: no run here writes a t-value above about 13,300
-# (star 24).  A run that grows past this bound fails at once rather than
-# filling memory first.
-MAX_T_VALUE = 10**5
-
-
-@pytest.fixture(autouse=True)
-def bounded_growth(monkeypatch):
-    append = Workspace.append_t
-
-    def checked(self, b, value):
-        if value > MAX_T_VALUE:
-            pytest.fail(f"t at {b!r} reached {value}, past the growth bound {MAX_T_VALUE}")
-        append(self, b, value)
-
-    monkeypatch.setattr(Workspace, "append_t", checked)
 
 
 def _patterns(rng, kinds):
@@ -153,6 +139,22 @@ def _scenario_files(directory, count=10):
     return paths
 
 
+# The base report of each scenario that ``_scenario_files`` writes, pinned:
+# tier-1's frozen reports carry few patterns and no maximal cofinal set.
+REPORT_SHA256 = {
+    "scenario-0.json": "c519e770a2115979a8239a41c20f3720165063c52a8776c6ba868a72b5074319",
+    "scenario-1.json": "b65cf4140299b7c8e2b73f8104950fd6fad7c0af8e0ca92de3ec08ded966a3f8",
+    "scenario-2.json": "11ad8ed0bc21b2dd5e58c6b7a938435b73cd579f37d767dfd25ae6c1e0e28373",
+    "scenario-3.json": "18c1c11b5854357e9bc598399af1fc8f711dd0edb668282196045d48f468437d",
+    "scenario-4.json": "d267c03f8711ea6e31fb2405dccd0834e51f9ef6b9710318fc1e17443c86914c",
+    "scenario-5.json": "663c4460ebb4d95976fb10cd7868a308601e94b54dfd48d085717b1bf08ca376",
+    "scenario-6.json": "1c9298bece3ae9caa5354a95fab1ffb9871f369f5c395afc16e122a2b17b305a",
+    "scenario-7.json": "6ffc6d37de140f6a6cf51d447eacba404fb59a8b01cf7eda786999fa3c07f498",
+    "scenario-8.json": "c32311ea6c5467b2f391be7566128708850cb4695b84cbba402aa256c0992b85",
+    "scenario-9.json": "29b39af3437be3e7b6970845ebe0826840f3a621557e44d911173b5f73701f7d",
+}
+
+
 def _report(scenario, out, hash_seed, *flags):
     env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": os.path.join(ROOT, "src")}
     cmd = [sys.executable, *flags, "-m", "blockforcing.cli", "run", scenario, "--out", out]
@@ -165,5 +167,6 @@ def test_reports_identical_across_hash_seeds_and_optimize(tmp_path):
     for path in _scenario_files(str(tmp_path)):
         base = _report(path, str(tmp_path / "hash0.json"), "0")
         assert json.loads(base)["matrix_ok"], path
+        assert hashlib.sha256(base).hexdigest() == REPORT_SHA256[os.path.basename(path)], path
         assert _report(path, str(tmp_path / "hash1.json"), "1") == base, path
         assert _report(path, str(tmp_path / "optimized.json"), "0", "-O") == base, path

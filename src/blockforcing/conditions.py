@@ -21,10 +21,11 @@ derived reals validate the data once, at the end of a run (see
 
 Clause 3b is a forced statement, decided from determined data only.  The
 name at b ranges over the part of Q below b: its old name may read only
-coordinates strictly below b that p holds, and Cohen prefixes at their
-ranks or at b's own.  Any other name gets no determined block, as on p
-restricted below b, where what it reads is missing.  A name that passes
-is read off p in place by one non-extending workspace.
+what ``restrict(p, b)`` keeps (the coordinates strictly below b that p
+holds and the Cohen prefixes at their ranks) and the Cohen prefix at b's
+own rank.  Any other name gets no determined block, as on p restricted
+below b, where what it reads is missing.  A name that passes is read off
+p in place by one non-extending workspace.
 """
 
 from bisect import bisect_left
@@ -93,10 +94,10 @@ def condition_of(ws, prev):
 
 
 def _reads_below(nm, b, p, rp):
-    """Whether nm reads only what p holds below b (the clause 3b context)."""
-    cone = rp.below[b] & p.coords.keys()
-    ranks = {rp.ranks[x] for x in cone} | {rp.rank_of(b)}
-    return coordinate_elements(nm) <= cone and diagonal_ranks(nm) <= ranks
+    """Whether nm reads only ``restrict(p, b, rp)`` and b's Cohen rank: the clause 3b context."""
+    below = restrict(p, b, rp)
+    ranks = below.cohen.keys() | {rp.ranks[b]}
+    return coordinate_elements(nm) <= below.coords.keys() and diagonal_ranks(nm) <= ranks
 
 
 def _names_linked(old, new, certs):

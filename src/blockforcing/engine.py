@@ -132,10 +132,8 @@ def _separate(ws, a, b, floor_n):
     down-set, or below anything it reads, would be below b.  Phase
     two runs a's cascade, floored past the gap's right end: t_a gains
     one value there, and every later value of t_a is larger still.  The
-    gap stays clean.
+    gap stays clean.  ``_validate_goals`` has checked that a is not at or below b.
     """
-    if ws.rp.poset.leq(a, b):
-        raise NotIncomparable(f"{a!r} <= {b!r}, nothing to separate")
     t_a, t_b = ws.coords[a].t, ws.coords[b].t
     gap_index = max(floor_n, len(t_b))
     above_a = t_a[-1] + 1 if t_a else 0
@@ -166,7 +164,8 @@ def _validate_goals(rp, goals):
                     f"domination target for {goal.elem!r} carries foreign rank tags {sorted(stray)}"
                 )
             for child in coordinate_elements(goal.target):
-                if not rp.ll(child, goal.elem):
+                rp.rank_of(child)
+                if child not in rp.below[goal.elem]:
                     raise ValueError(
                         f"coordinate {child!r} in a domination target must sit strictly "
                         f"below {goal.elem!r} in both order and rank"
@@ -190,6 +189,7 @@ def build_generic(rp, goals, resolution):
     the unmet length goals (their own index list) are recorded, in goal
     order, once long enough, so the ledger is what a full rescan gives.
 
+    Each step adds one link, so the budget bounds the chain's length.
     Raises ResolutionExhausted (listing unmet goal indices) when the
     budget runs out first.  Fully deterministic.
     """
@@ -206,7 +206,6 @@ def build_generic(rp, goals, resolution):
     lengths = [i for i, goal in enumerate(goals) if isinstance(goal, LengthGoal)]
     cursor = 0
     check_cache = {}
-    steps = 0
 
     while True:
         # The one place a length goal is recorded: a served one is the cursor,
@@ -221,13 +220,12 @@ def build_generic(rp, goals, resolution):
             cursor += 1
         if cursor == len(goals):
             break
-        if steps >= resolution:
+        if len(chain) > resolution:
             unmet = tuple(i for i in range(cursor, len(goals)) if not met[i])
             raise ResolutionExhausted(
                 f"budget of {resolution} steps spent with {len(unmet)} goals unmet",
                 unmet=unmet,
             )
-        steps += 1
         i = cursor
         goal = goals[i]
 

@@ -152,11 +152,8 @@ def build_goals(rp, reals, plan):
     elements = sorted(rp.poset.elements)
     goals = []
     for b in elements:
-        for a in elements:
-            if rp.ll(a, b):
-                goals.extend(
-                    DominateGoal(b, CoordinateName(a)) for _ in range(plan.dominate_pairs)
-                )
+        for a in sorted(rp.below[b]):
+            goals.extend(DominateGoal(b, CoordinateName(a)) for _ in range(plan.dominate_pairs))
     for real in reals:
         for b in elements:
             goals.append(DominateGoal(b, DiagonalName(real, rp.ranks[b])))
@@ -176,25 +173,25 @@ def build_goals(rp, reals, plan):
     return tuple(goals)
 
 
-def _paid_goal_count(rp, reals, plan):
-    """How many goals ``build_goals`` makes that cost a step each, counted
+def _plan_counts(rp, reals, plan):
+    """``(merges, paid)`` for the goals ``build_goals`` would make, counted
     without building them.
 
-    Every goal but a length goal is met by exactly one step, so a budget
-    below this count cannot be met whatever the engine does.  The terms
-    follow ``build_goals``: dominations by a coordinate below in both order
-    and rank, dominations by a pattern, Cohen disagreements, separations.
+    ``merges[b]`` is the number of domination goals at b, one merge each
+    in b's name: one per coordinate in ``rp.below[b]`` and plan pair, and
+    one per pattern.  Every goal but a length goal is met by exactly one
+    step, so ``paid`` (the merges, Cohen disagreements and separations)
+    is a budget below which the plan cannot be met whatever the engine does.
     """
     n = len(rp.poset.elements)
-    pairs = rp.poset.pairs
-    strictly_below = sum(rp.ranks[a] < rp.ranks[b] for a, b in pairs)
+    merges = {b: len(rp.below[b]) * plan.dominate_pairs + len(reals) for b in rp.poset.elements}
     ranks = len(set(rp.ranks.values()))
-    return (
-        strictly_below * plan.dominate_pairs
-        + len(reals) * n
+    paid = (
+        sum(merges.values())
         + ranks * len(reals) * plan.disagreements_per_real
-        + (n * (n - 1) - len(pairs)) * plan.violations_per_incomparable_pair
+        + (n * (n - 1) - len(rp.poset.pairs)) * plan.violations_per_incomparable_pair
     )
+    return merges, paid
 
 
 @dataclass(frozen=True)
@@ -390,17 +387,16 @@ def check_coverage(run, sc):
 def run_scenario(sc):
     rp = compute_ranks(sc.poset, sc.cofinal)
     reals = tuple(GroundReal(spec, sc.seed) for spec in sc.ground_reals)
-    paid = _paid_goal_count(rp, reals, sc.plan)
+    merges, paid = _plan_counts(rp, reals, sc.plan)
     if paid > sc.resolution:
         raise ResolutionExhausted(
             f"the plan has {paid} goals that take a step each, "
             f"over the budget of {sc.resolution} steps"
         )
-    for b in sorted(rp.poset.elements):
-        merges = len(rp.below[b]) * sc.plan.dominate_pairs + len(reals)
-        if merges > _MAX_NAME_DEPTH:
+    for b in sorted(merges):
+        if merges[b] > _MAX_NAME_DEPTH:
             raise CannotAdvance(
-                f"the plan nests {merges} merges in the name at {b!r} (dominate_pairs "
+                f"the plan nests {merges[b]} merges in the name at {b!r} (dominate_pairs "
                 f"{sc.plan.dominate_pairs}), past the depth bound of {_MAX_NAME_DEPTH}"
             )
     goals = build_goals(rp, reals, sc.plan)

@@ -3,8 +3,9 @@
 Members of the cofinal set are ranked by their height inside that set,
 every other element borrows the smallest rank found strictly above it,
 and ``top_rank`` is one past the highest rank.  The derived relation
-``x << y`` (strictly below in both order and rank) is what the
-condition and engine layers consume.
+``x << y`` (strictly below in both order and rank) is stated once, as
+``RankedPoset.below``; the goal plan, goal validation and the condition
+layer all read that table.
 """
 
 from collections import Counter
@@ -88,15 +89,15 @@ class RankedPoset:
             raise UnknownElement(f"{x!r} has no rank here")
         return self.ranks[x]
 
-    def ll(self, x, y):
-        """Whether ``x`` sits strictly below ``y`` in both order and rank."""
-        return self.poset.lt(x, y) and self.ranks[x] < self.ranks[y]
-
     @cached_property
     def below(self):
-        """Each element's down-set: everything strictly below it in both senses."""
-        elements = self.poset.elements
-        return {y: frozenset(x for x in elements if self.ll(x, y)) for y in elements}
+        """The one definition of ``x << y``: each y's set of x strictly below
+        it in both order and rank."""
+        down = {y: set() for y in self.poset.elements}
+        for x, y in self.poset.pairs:
+            if self.ranks[x] < self.ranks[y]:
+                down[y].add(x)
+        return {y: frozenset(xs) for y, xs in down.items()}
 
     @cached_property
     def at_rank(self):

@@ -1,8 +1,29 @@
-"""Shared test helpers: seeded poset generation and chain auditing."""
+"""Shared test helpers: seeded poset generation, chain auditing, and a growth bound."""
 
 import random
 
+import pytest
+
 from blockforcing import Poset, leq_check, restrict
+from blockforcing.resolution import Workspace
+
+# Growth is polynomial: no tier-1 test writes a t-value above about 450,
+# and no run of the slow suite, which imports this guard, above about
+# 13,300 (star 24).  A run that grows past this bound fails at once
+# rather than hanging or filling memory first.
+MAX_T_VALUE = 10**5
+
+
+@pytest.fixture(autouse=True)
+def bounded_growth(monkeypatch):
+    append = Workspace.append_t
+
+    def checked(self, b, value):
+        if value > MAX_T_VALUE:
+            pytest.fail(f"t at {b!r} reached {value}, past the growth bound {MAX_T_VALUE}")
+        append(self, b, value)
+
+    monkeypatch.setattr(Workspace, "append_t", checked)
 
 
 def random_poset(seed, max_elements=6, edge_chance=0.4):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockforcing import (
+    BlockForcingError,
     CohenDisagreeGoal,
     CoordinateName,
     DiagonalName,
@@ -29,6 +30,7 @@ from blockforcing import (
     leq_check,
     run_scenario,
 )
+from blockforcing import engine
 from blockforcing.conditions import Condition, CoordPart, condition_of
 from blockforcing.engine import (
     _ladder,
@@ -240,13 +242,6 @@ def test_separation_honors_floor():
     assert _t(ws) == {"a": [6], "b": [1, 2, 3, 4, 5]}
 
 
-def test_separation_rejects_comparable():
-    with pytest.raises(NotIncomparable):
-        _separate(_start_ws(V_RP), "a", "c", 0)
-    with pytest.raises(NotIncomparable):
-        _separate(_start_ws(V_RP), "a", "a", 0)
-
-
 def test_chained_separations_frozen():
     goals = [IncomparableGoal("a", "b", 0)] * 3
     run = build_generic(ANTI_2, goals, 64)
@@ -374,6 +369,22 @@ def test_frozen_links_do_not_move():
     assert q == start
 
 
+def test_engine_refuses_a_link_that_rewrites_frozen_data(monkeypatch):
+    # Each link rewrites the first t-value the previous link froze, so the
+    # per-link leq_check must stop the run instead of chaining the link.
+    def rewriting(ws, prev):
+        p = condition_of(ws, prev)
+        frozen = sorted(b for b, part in prev.coords.items() if part.t)
+        if frozen:
+            t, name = p.coords[frozen[0]]
+            p.coords[frozen[0]] = CoordPart((t[0] + 1, *t[1:]), name)
+        return p
+
+    monkeypatch.setattr(engine, "condition_of", rewriting)
+    with pytest.raises(BlockForcingError, match="engine emitted an invalid link for goal"):
+        build_generic(ANTI_2, [LengthGoal("a", 3)], 64)
+
+
 def test_cohen_disagree_goals():
     ones = GroundReal("ones")
     goals = [CohenDisagreeGoal(0, ones, 0), CohenDisagreeGoal(0, ones, 3)]
@@ -480,8 +491,11 @@ def test_goal_validation():
     with pytest.raises(ValueError):
         # target coordinate not strictly below in order and rank
         build_generic(ANTI_2, [DominateGoal("a", CoordinateName("b"))], 8)
-    with pytest.raises(NotIncomparable):
-        build_generic(V_RP, [IncomparableGoal("a", "c", 0)], 8)
+    with pytest.raises(UnknownElement):
+        build_generic(V_RP, [DominateGoal("c", CoordinateName("ghost"))], 8)
+    for a, b in (("a", "c"), ("a", "a")):
+        with pytest.raises(NotIncomparable):
+            build_generic(V_RP, [IncomparableGoal(a, b, 0)], 8)
     with pytest.raises(ValueError):
         build_generic(POINT, [object()], 8)
 

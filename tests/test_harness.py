@@ -1,5 +1,6 @@
 """Scenario plumbing, the order matrix, coverage audits, and the CLI."""
 
+import collections
 import dataclasses
 import hashlib
 import json
@@ -40,7 +41,7 @@ from blockforcing import (
 )
 from blockforcing import cli, harness
 from blockforcing.cli import main
-from blockforcing.harness import _paid_goal_count, report_json
+from blockforcing.harness import _plan_counts, report_json
 from conftest import assert_chain_sound, random_poset
 
 
@@ -276,6 +277,25 @@ def test_separated_cell_needs_a_witness_that_rechecks(tmp_path, capsys):
     assert "failed: order audit" in capsys.readouterr().err
 
 
+def test_order_audit_rejects_shifted_gaps():
+    # Every recorded gap of (x, y) shifted one place right is no gap of t_y,
+    # so the audit may not read the cell as separated.
+    rp = compute_ranks(Poset(["x", "y"]))
+    run = build_generic(rp, build_goals(rp, (), GoalPlan()), 4096)
+    assert check_isomorphism(run).cells["x"]["y"]["verdict"] == "non-subset-certified"
+    def shifted(entry):
+        block = [v + 1 for v in entry.info["block"]]
+        return dataclasses.replace(entry, info={**entry.info, "block": block})
+
+    ledger = tuple(
+        shifted(entry) if run.goals[entry.goal_index] == IncomparableGoal("x", "y", 0) else entry
+        for entry in run.ledger
+    )
+    cell = check_isomorphism(dataclasses.replace(run, ledger=ledger)).cells["x"]["y"]
+    assert cell["verdict"] == "undetermined"
+    assert [g["clean"] for g in cell["evidence"]["gaps"]] == [False] * 3
+
+
 def test_order_audit_tolerates_empty_sequences():
     # Only a Cohen goal: every t stays empty, so no cell can be decided.
     rp = compute_ranks(V_POSET)
@@ -443,6 +463,14 @@ def test_cli_run_reports(v_scenario_file, tmp_path, capsys):
     assert out_a.read_bytes() != out_b.read_bytes()
 
 
+def test_cli_run_fails_on_a_coverage_miss(v_scenario_file, tmp_path, monkeypatch, capsys):
+    miss = harness.CoverageEntry("zeros", "c", 1, 0, (0,), "")
+    report = harness.CoverageReport((miss,), False)
+    monkeypatch.setattr(harness, "check_coverage", lambda run, sc: report)
+    assert main(["run", str(v_scenario_file), "--out", str(tmp_path / "report.json")]) == 1
+    assert capsys.readouterr().err == "failed: coverage audit\n"
+
+
 def test_cli_run_budget_exhaustion(v_scenario_file, capsys):
     assert main(["run", str(v_scenario_file), "--resolution", "1"]) == 1
     err = capsys.readouterr().err
@@ -494,13 +522,17 @@ def test_paid_goal_count_matches_the_built_goals():
         )
         goals = build_goals(rp, reals, plan)
         paid = sum(not isinstance(goal, LengthGoal) for goal in goals)
-        assert _paid_goal_count(rp, reals, plan) == paid
+        dominations = collections.Counter(
+            goal.elem for goal in goals if isinstance(goal, DominateGoal)
+        )
+        merges = {b: dominations[b] for b in rp.poset.elements}
+        assert _plan_counts(rp, reals, plan) == (merges, paid)
 
 
 def test_budget_equal_to_the_paid_goals_is_not_refused_up_front(monkeypatch):
     sc = _scenario({"poset": V_JSON, "ground_reals": ["zeros"]})
     rp = compute_ranks(sc.poset, sc.cofinal)
-    paid = _paid_goal_count(rp, (GroundReal("zeros"),), sc.plan)
+    _, paid = _plan_counts(rp, (GroundReal("zeros"),), sc.plan)
     # The length goals still need steps here, so the engine, having built
     # the goals, runs out and lists the unmet ones.
     with pytest.raises(ResolutionExhausted) as info:
