@@ -242,6 +242,13 @@ def test_separation_honors_floor():
     assert _t(ws) == {"a": [6], "b": [1, 2, 3, 4, 5]}
 
 
+def test_separation_rejects_comparable():
+    # goal validation, not _separate, refuses a pair that is not incomparable
+    for a, b in (("a", "c"), ("a", "a")):
+        with pytest.raises(NotIncomparable):
+            build_generic(V_RP, [IncomparableGoal(a, b, 0)], 8)
+
+
 def test_chained_separations_frozen():
     goals = [IncomparableGoal("a", "b", 0)] * 3
     run = build_generic(ANTI_2, goals, 64)
@@ -493,9 +500,6 @@ def test_goal_validation():
         build_generic(ANTI_2, [DominateGoal("a", CoordinateName("b"))], 8)
     with pytest.raises(UnknownElement):
         build_generic(V_RP, [DominateGoal("c", CoordinateName("ghost"))], 8)
-    for a, b in (("a", "c"), ("a", "a")):
-        with pytest.raises(NotIncomparable):
-            build_generic(V_RP, [IncomparableGoal(a, b, 0)], 8)
     with pytest.raises(ValueError):
         build_generic(POINT, [object()], 8)
 
