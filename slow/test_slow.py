@@ -36,6 +36,8 @@ from blockforcing import Poset, Scenario, compute_ranks, run_scenario  # noqa: E
 from blockforcing.poset import dump_poset  # noqa: E402
 
 RESOLUTION = 10**6
+# The growth guard's bound here; star 24 reaches about 13,300.
+MAX_T_VALUE = 10**5
 KINDS = ("zeros", "ones", "periodic", "seeded-random")
 
 

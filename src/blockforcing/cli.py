@@ -29,7 +29,7 @@ from .errors import (
     SearchExhausted,
     SpecError,
 )
-from .harness import load_scenario, read_json, render_report, run_scenario
+from .harness import _is_int, load_scenario, read_json, render_report, run_scenario
 from .poset import compute_ranks, load_poset
 
 
@@ -57,12 +57,6 @@ def build_parser():
     p_oracle.add_argument("input", help="path to a JSON file with the operands")
 
     return parser
-
-
-def _is_int(value):
-    # JSON true/false arrive as bool, a subclass of int; neither they nor
-    # floats or numeric strings are operands, so nothing is coerced.
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _require_ints(values, key):
@@ -120,8 +114,6 @@ def _cmd_run(args):
     if args.seed is not None:
         sc = dataclasses.replace(sc, seed=args.seed)
     if args.resolution is not None:
-        if args.resolution < 1:
-            raise SpecError(f"--resolution must be positive, got {args.resolution}")
         sc = dataclasses.replace(sc, resolution=args.resolution)
 
     try:

@@ -1,15 +1,19 @@
 """Scenario running: goal plans, the embedding matrix, and coverage checks.
 
 A scenario bundles a poset, a cofinal set, comparison patterns, and a
-goal plan.  Running it builds the goal list, drives the engine, then
-audits the result from the outside: the derived sequences must realize
-the input order exactly (subset certificates along the order, recorded
-gaps plus an explicit witness against it), and the derived Cohen words
-must disagree with every registered pattern inside every late block of
-every maximal coordinate.  The audits take the engine's ledger (its
+goal plan; it checks itself however it was made and builds its patterns
+once.  The plan is one list of ``(goal, times)`` runs, which the goal
+list repeats and the up-front refusals sum.  Running a scenario builds
+the goal list, drives the engine, then audits the result from outside:
+the derived sequences must realize the input order exactly (subset
+certificates along the order, recorded gaps plus an explicit witness
+against it), and the derived Cohen words must disagree with every
+registered pattern inside every late block of every maximal
+coordinate.  The audits take the engine's ledger (its
 domination thresholds and recorded gaps) as claims only, and re-check
 each one with the finite combinatorics layer, so they would catch the
 engine lying.  The order audit compares whole blocks as tuple slices.
+A comparable cell needs at least one judged block with no violation.
 A separated cell needs a clean recorded gap and a witness word that
 re-checks (``witness_valid: false`` leaves it undetermined): the word
 must disagree with x in every judged block of t_a and copy y on two
@@ -23,6 +27,7 @@ from dataclasses import asdict, dataclass, field, fields
 from itertools import product
 
 from .blocks import BitSeq, Window, e_member, non_subset_witness, refines_at
+from .blocks import _judged_refine_indices
 from .engine import (
     CohenDisagreeGoal,
     DominateGoal,
@@ -39,6 +44,12 @@ from .poset import Poset, compute_ranks, dump_poset, load_poset
 from .resolution import _MAX_NAME_DEPTH
 
 
+def _is_int(value):
+    # JSON true/false arrive as bool, a subclass of int; neither they nor
+    # floats or numeric strings count as integers, so nothing is coerced.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class GoalPlan:
     """How many of each goal kind a scenario asks for."""
@@ -51,7 +62,7 @@ class GoalPlan:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            if not _is_int(v) or v < 1:
                 raise SpecError(f"{f.name} must be a positive integer, got {v!r}")
 
 
@@ -59,15 +70,10 @@ _SCENARIO_KEYS = {"poset", "resolution", "seed", "ground_reals", "plan", "questi
 _PLAN_KEYS = {f.name for f in fields(GoalPlan)}
 
 
-def _require_int(obj, key, default, minimum):
-    v = obj.get(key, default)
-    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-        raise SpecError(f'"{key}" must be an integer >= {minimum}, got {v!r}')
-    return v
-
-
 @dataclass(frozen=True)
 class Scenario:
+    """A poset, its cofinal set, patterns and goal plan, checked however made."""
+
     poset: Poset
     cofinal: frozenset
     resolution: int = 4096
@@ -75,6 +81,18 @@ class Scenario:
     ground_reals: tuple = ()
     plan: GoalPlan = field(default_factory=GoalPlan)
     question_variant: bool = False
+    # One GroundReal per spec in ground_reals, keyed by seed.
+    reals: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not _is_int(self.resolution) or self.resolution < 1:
+            raise SpecError(f'"resolution" must be an integer >= 1, got {self.resolution!r}')
+        if not _is_int(self.seed):
+            raise SpecError(f'"seed" must be an integer, got {self.seed!r}')
+        if not isinstance(self.question_variant, bool):
+            raise SpecError('"question_variant" must be a boolean')
+        reals = tuple(GroundReal(spec, self.seed) for spec in self.ground_reals)
+        object.__setattr__(self, "reals", reals)
 
     @classmethod
     def from_json(cls, obj, base_dir=None):
@@ -92,16 +110,9 @@ class Scenario:
             raise SpecError('"poset" must be an inline object or a file path')
         poset, cofinal = load_poset(raw_poset)
 
-        resolution = _require_int(obj, "resolution", 4096, 1)
-        seed = obj.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise SpecError(f'"seed" must be an integer, got {seed!r}')
-
         raw_reals = obj.get("ground_reals", [])
         if not isinstance(raw_reals, list) or not all(isinstance(s, str) for s in raw_reals):
             raise SpecError('"ground_reals" must be a list of pattern strings')
-        for spec in raw_reals:
-            GroundReal(spec)  # raises SpecError on a bad pattern
 
         raw_plan = obj.get("plan", {})
         if not isinstance(raw_plan, dict):
@@ -109,20 +120,13 @@ class Scenario:
         unknown = set(raw_plan) - _PLAN_KEYS
         if unknown:
             raise SpecError(f"unknown plan keys {sorted(unknown)}")
-        plan = GoalPlan(**raw_plan)
-
-        variant = obj.get("question_variant", False)
-        if not isinstance(variant, bool):
-            raise SpecError('"question_variant" must be a boolean')
 
         return cls(
             poset=poset,
             cofinal=cofinal,
-            resolution=resolution,
-            seed=seed,
             ground_reals=tuple(raw_reals),
-            plan=plan,
-            question_variant=variant,
+            plan=GoalPlan(**raw_plan),
+            **{key: obj[key] for key in ("resolution", "seed", "question_variant") if key in obj},
         )
 
 
@@ -142,55 +146,52 @@ def load_scenario(path):
     return Scenario.from_json(obj, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def build_goals(rp, reals, plan):
-    """The scenario's dense sets, in the order the engine serves them.
+def _goal_runs(rp, reals, plan):
+    """The plan's dense sets as ``(goal, times)`` runs, in serving order.
 
     Domination swaps come first so their block thresholds stay small,
     lengths afterwards stretch every sequence past the swaps, and the
     separating gaps come last, landing in fully grown sequences.
     """
     elements = sorted(rp.poset.elements)
-    goals = []
     for b in elements:
         for a in sorted(rp.below[b]):
-            goals.extend(DominateGoal(b, CoordinateName(a)) for _ in range(plan.dominate_pairs))
+            yield DominateGoal(b, CoordinateName(a)), plan.dominate_pairs
     for real in reals:
         for b in elements:
-            goals.append(DominateGoal(b, DiagonalName(real, rp.ranks[b])))
+            yield DominateGoal(b, DiagonalName(real, rp.ranks[b])), 1
     for rank in sorted(set(rp.ranks.values())):
         for real in reals:
-            goals.extend(
-                CohenDisagreeGoal(rank, real, 0) for _ in range(plan.disagreements_per_real)
-            )
-    goals.extend(LengthGoal(a, plan.min_t_length) for a in elements)
+            yield CohenDisagreeGoal(rank, real, 0), plan.disagreements_per_real
+    for a in elements:
+        yield LengthGoal(a, plan.min_t_length), 1
     for a in elements:
         for b in elements:
             if a != b and not rp.poset.leq(a, b):
-                goals.extend(
-                    IncomparableGoal(a, b, 0)
-                    for _ in range(plan.violations_per_incomparable_pair)
-                )
-    return tuple(goals)
+                yield IncomparableGoal(a, b, 0), plan.violations_per_incomparable_pair
+
+
+def build_goals(rp, reals, plan):
+    """The scenario's goal list: each run of ``_goal_runs`` repeated in place."""
+    return tuple(goal for goal, times in _goal_runs(rp, reals, plan) for _ in range(times))
 
 
 def _plan_counts(rp, reals, plan):
-    """``(merges, paid)`` for the goals ``build_goals`` would make, counted
-    without building them.
+    """``(merges, paid)`` for the goals ``build_goals`` would make, summed
+    over the runs without building the repeats.
 
     ``merges[b]`` is the number of domination goals at b, one merge each
-    in b's name: one per coordinate in ``rp.below[b]`` and plan pair, and
-    one per pattern.  Every goal but a length goal is met by exactly one
+    in b's name.  Every goal but a length goal is met by exactly one
     step, so ``paid`` (the merges, Cohen disagreements and separations)
     is a budget below which the plan cannot be met whatever the engine does.
     """
-    n = len(rp.poset.elements)
-    merges = {b: len(rp.below[b]) * plan.dominate_pairs + len(reals) for b in rp.poset.elements}
-    ranks = len(set(rp.ranks.values()))
-    paid = (
-        sum(merges.values())
-        + ranks * len(reals) * plan.disagreements_per_real
-        + (n * (n - 1) - len(rp.poset.pairs)) * plan.violations_per_incomparable_pair
-    )
+    merges = dict.fromkeys(rp.poset.elements, 0)
+    paid = 0
+    for goal, times in _goal_runs(rp, reals, plan):
+        if isinstance(goal, DominateGoal):
+            merges[goal.elem] += times
+        if not isinstance(goal, LengthGoal):
+            paid += times
     return merges, paid
 
 
@@ -308,15 +309,21 @@ def check_isomorphism(run, question_variant=False):
                         "note": "no met domination goal for this pair",
                     }
                 else:
-                    violations = refines_at(d_a, d_b, Window(thr, d_b.last))
-                    verdict = "subset-certified" if not violations else "undetermined"
                     if same_rank:
                         evidence = {"route": "same-rank-refines"}
                         if question_variant:
                             variant.append((a, b))
                     else:
                         evidence = {"route": "dominates", "block_threshold": thr}
-                    evidence["violations"] = sorted(violations)
+                    # A cell with no judged block would be certified on no evidence.
+                    w_ab = Window(thr, d_b.last) if len(d_a) and len(d_b) else None
+                    if w_ab and _judged_refine_indices(d_a.values, d_b.values, w_ab):
+                        violations = refines_at(d_a, d_b, w_ab)
+                        verdict = "subset-certified" if not violations else "undetermined"
+                        evidence["violations"] = sorted(violations)
+                    else:
+                        verdict = "undetermined"
+                        evidence["note"] = "no block of the upper sequence is judged"
             else:
                 recorded = gaps.get((a, b), [])
                 audited = [
@@ -354,8 +361,7 @@ def check_coverage(run, sc):
     rp = run.rp
     _, thresholds, _ = _ledger_evidence(run)
     entries = []
-    for spec in sc.ground_reals:
-        real = GroundReal(spec, sc.seed)
+    for real in sc.reals:
         for a in sorted(rp.poset.maximal_elements()):
             cohen = run.derived.cohen[rp.ranks[a]]
             d = run.derived.dominating[a]
@@ -373,7 +379,7 @@ def check_coverage(run, sc):
             )
             entries.append(
                 CoverageEntry(
-                    real=spec,
+                    real=real.spec,
                     element=a,
                     rank=rp.ranks[a],
                     block_threshold=thr,
@@ -386,8 +392,7 @@ def check_coverage(run, sc):
 
 def run_scenario(sc):
     rp = compute_ranks(sc.poset, sc.cofinal)
-    reals = tuple(GroundReal(spec, sc.seed) for spec in sc.ground_reals)
-    merges, paid = _plan_counts(rp, reals, sc.plan)
+    merges, paid = _plan_counts(rp, sc.reals, sc.plan)
     if paid > sc.resolution:
         raise ResolutionExhausted(
             f"the plan has {paid} goals that take a step each, "
@@ -399,7 +404,7 @@ def run_scenario(sc):
                 f"the plan nests {merges[b]} merges in the name at {b!r} (dominate_pairs "
                 f"{sc.plan.dominate_pairs}), past the depth bound of {_MAX_NAME_DEPTH}"
             )
-    goals = build_goals(rp, reals, sc.plan)
+    goals = build_goals(rp, sc.reals, sc.plan)
     run = build_generic(rp, goals, sc.resolution)
     iso = check_isomorphism(run, question_variant=sc.question_variant)
     cov = check_coverage(run, sc)

@@ -7,20 +7,21 @@ import pytest
 from blockforcing import Poset, leq_check, restrict
 from blockforcing.resolution import Workspace
 
-# Growth is polynomial: no tier-1 test writes a t-value above about 450,
-# and no run of the slow suite, which imports this guard, above about
-# 13,300 (star 24).  A run that grows past this bound fails at once
-# rather than hanging or filling memory first.
-MAX_T_VALUE = 10**5
+# Growth is polynomial: no tier-1 test writes a t-value above about 450.
+# A run that grows past this bound fails at once rather than hanging or
+# filling memory first.  A test module may set its own MAX_T_VALUE: the
+# slow suite, which imports this guard, reaches about 13,300 (star 24).
+MAX_T_VALUE = 10**4
 
 
 @pytest.fixture(autouse=True)
-def bounded_growth(monkeypatch):
+def bounded_growth(request, monkeypatch):
     append = Workspace.append_t
+    bound = getattr(request.module, "MAX_T_VALUE", MAX_T_VALUE)
 
     def checked(self, b, value):
-        if value > MAX_T_VALUE:
-            pytest.fail(f"t at {b!r} reached {value}, past the growth bound {MAX_T_VALUE}")
+        if value > bound:
+            pytest.fail(f"t at {b!r} reached {value}, past the growth bound {bound}")
         append(self, b, value)
 
     monkeypatch.setattr(Workspace, "append_t", checked)

@@ -92,6 +92,32 @@ def test_scenario_rejects_malformed(obj):
         _scenario(obj)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("seed", True),
+        ("question_variant", 1),
+        ("resolution", 0),
+        ("resolution", True),
+        ("ground_reals", ("bogus",)),
+    ],
+    ids=["seed-bool", "variant-int", "resolution-0", "resolution-bool", "bad-pattern"],
+)
+def test_scenario_checks_itself_however_made(field, value):
+    with pytest.raises(SpecError):
+        Scenario(poset=V_POSET, cofinal=frozenset("abc"), **{field: value})
+    sc = Scenario(poset=V_POSET, cofinal=frozenset("abc"))
+    with pytest.raises(SpecError):
+        dataclasses.replace(sc, **{field: value})
+
+
+def test_scenario_builds_its_patterns_with_its_seed():
+    sc = _scenario({"poset": V_JSON, "seed": 4, "ground_reals": ["zeros", "seeded-random:2"]})
+    assert sc.reals == (GroundReal("zeros", 4), GroundReal("seeded-random:2", 4))
+    reseeded = dataclasses.replace(sc, seed=9)
+    assert reseeded.reals == (GroundReal("zeros", 9), GroundReal("seeded-random:2", 9))
+
+
 def test_scenario_surfaces_order_errors():
     with pytest.raises(CycleError):
         _scenario({"poset": {"elements": ["a"], "relations": [["a", "a"]]}})
@@ -297,15 +323,36 @@ def test_order_audit_rejects_shifted_gaps():
 
 
 def test_order_audit_tolerates_empty_sequences():
-    # Only a Cohen goal: every t stays empty, so no cell can be decided.
-    rp = compute_ranks(V_POSET)
-    run = build_generic(rp, [CohenDisagreeGoal(0, GroundReal("zeros"), 0)], 8)
-    assert all(len(t) == 0 for t in run.derived.dominating.values())
-    iso = check_isomorphism(run)
-    assert not iso.ok
-    for a, row in iso.cells.items():
-        for b, cell in row.items():
-            assert cell["verdict"] == ("subset-certified" if a == b else "undetermined")
+    # Only a Cohen goal: every t stays empty, so no cell can be decided,
+    # not even the tied chain's same-rank cell, which needs no domination goal.
+    for rp in (compute_ranks(V_POSET), compute_ranks(Poset(["a", "b"], [("a", "b")]), {"b"})):
+        run = build_generic(rp, [CohenDisagreeGoal(0, GroundReal("zeros"), 0)], 8)
+        assert all(len(t) == 0 for t in run.derived.dominating.values())
+        iso = check_isomorphism(run)
+        assert not iso.ok
+        for a, row in iso.cells.items():
+            for b, cell in row.items():
+                assert cell["verdict"] == ("subset-certified" if a == b else "undetermined")
+
+
+def test_comparable_cell_needs_a_judged_block(tmp_path, capsys):
+    # t_b = [2, 5] has one block, and t_a = [1, 2, 3, 4] ends before it
+    # closes, so refinement judges nothing and a -> b may not be certified.
+    obj = {
+        "poset": {"elements": ["a", "b"], "relations": [["a", "b"]]},
+        "plan": {"min_t_length": 1, "violations_per_incomparable_pair": 1},
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "report.json"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "failed: order audit\n"
+    report = json.loads(out.read_text())
+    assert report["derived"]["dominating"] == {"a": [1, 2, 3, 4], "b": [2, 5]}
+    cell = report["matrix"]["a"]["b"]
+    assert cell["verdict"] == "undetermined"
+    assert cell["evidence"]["route"] == "dominates"
+    assert "no block" in cell["evidence"]["note"] and "violations" not in cell["evidence"]
 
 
 def test_coverage_flags_unregistered_pattern():
@@ -476,6 +523,7 @@ def test_cli_run_budget_exhaustion(v_scenario_file, capsys):
     err = capsys.readouterr().err
     assert "budget exhausted" in err and "unmet goal indices" in err
     assert main(["run", str(v_scenario_file), "--resolution", "0"]) == 2
+    assert capsys.readouterr().err == 'error: "resolution" must be an integer >= 1, got 0\n'
 
 
 def _refuse_goal_building(monkeypatch):
