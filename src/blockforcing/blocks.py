@@ -172,9 +172,11 @@ def e_member(z, x, f, m, w):
     """Whether z disagrees with x somewhere inside every f-block from index m on.
 
     The window supplies only the value limit; the threshold is the
-    explicit ``m``.  Requires f to fit under the limit and both words to
+    explicit ``m >= 0``.  Requires f to fit under the limit and both words to
     cover f's range.  Vacuously true when no block is judged.
     """
+    if m < 0:
+        raise ValueError(f"threshold must be a natural number, got {m}")
     fv = _tuple(f)
     if not fv:
         raise EmptySequence("membership needs a nonempty block sequence")
@@ -201,8 +203,9 @@ def non_subset_witness(x, y, f, g, w):
     the flip forces a disagreement.  Raises InsufficientViolations when
     fewer than two non-adjacent violations exist.
     """
+    fv, gv = _tuple(f), _tuple(g)
     chosen = []
-    for n in sorted(refines_at(f, g, w)):
+    for n in sorted(refines_at(fv, gv, w)):
         if chosen and n == chosen[-1] + 1:
             continue
         chosen.append(n)
@@ -210,8 +213,7 @@ def non_subset_witness(x, y, f, g, w):
         raise InsufficientViolations(
             f"need 2 non-adjacent violating blocks, found {len(chosen)}"
         )
-    gv = g.values
-    need = max(f.last, g.last)
+    need = max(fv[-1], gv[-1])
     xv, yv = _tuple(x), _tuple(y)
     if len(xv) < need or len(yv) < need:
         raise LengthTooShort(f"reference words must cover positions below {need}")

@@ -24,8 +24,9 @@ name at b ranges over the part of Q below b: its old name may read only
 what ``restrict(p, b)`` keeps (the coordinates strictly below b that p
 holds and the Cohen prefixes at their ranks) and the Cohen prefix at b's
 own rank.  Any other name gets no determined block, as on p restricted
-below b, where what it reads is missing.  A name that passes is read off
-p in place by one non-extending workspace.
+below b, where what it reads is missing.  Each coordinate with fresh gaps
+decides that afresh from the reads its old name recorded when built; a
+name that passes is read off p in place by one non-extending workspace.
 """
 
 from bisect import bisect_left
@@ -95,9 +96,11 @@ def condition_of(ws, prev):
 
 def _reads_below(nm, b, p, rp):
     """Whether nm reads only ``restrict(p, b, rp)`` and b's Cohen rank: the clause 3b context."""
-    below = restrict(p, b, rp)
-    ranks = below.cohen.keys() | {rp.ranks[b]}
-    return coordinate_elements(nm) <= below.coords.keys() and diagonal_ranks(nm) <= ranks
+    own, below = rp.rank_of(b), rp.below[b]  # an unknown b raises UnknownElement, as in restrict
+    elements, ranks = coordinate_elements(nm), diagonal_ranks(nm) - {own}
+    if not (elements <= below and elements <= p.coords.keys()):
+        return False
+    return not ranks or ranks <= p.cohen.keys() & {rp.ranks[x] for x in below if x in p.coords}
 
 
 def _names_linked(old, new, certs):
@@ -124,15 +127,12 @@ def leq_check(p, q, rp, certs=frozenset(), cache=None):
     each link's p in turn, whose walk caches every coordinate shares: all
     of them read the same p, and the determined data only grows link to
     link, so the caches stay valid and the whole chain verifies in one
-    pass over the data.  It also keeps, per support, each b's 3b reads-below verdict.
+    pass over the data.
     """
     cache = {} if cache is None else cache
     if "view" not in cache:
         cache["view"] = Workspace(rp, {}, {}, extend=False)
     view = cache["view"]
-    if cache.get("support") != p.coords.keys():
-        cache["support"], cache["reads_below"] = set(p.coords), {}
-    reads_below = cache["reads_below"]
     # A non-extending view never writes, so p's own maps serve as its data.
     view.cohen, view.coords = p.cohen, p.coords
     violations = []
@@ -159,9 +159,7 @@ def leq_check(p, q, rp, certs=frozenset(), cache=None):
                 Violation("3a", b, "names differ and no certificate chain connects them")
             )
         fresh = range(max(len(old_vals), 1), len(new_vals))
-        if fresh and reads_below.get(b, (None,))[0] is not name_old:
-            reads_below[b] = (name_old, _reads_below(name_old, b, p, rp))
-        readable = bool(fresh) and reads_below[b][1]
+        readable = bool(fresh) and _reads_below(name_old, b, p, rp)
         for n in fresh:
             lo, hi = new_vals[n - 1], new_vals[n]
             try:

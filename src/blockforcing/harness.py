@@ -85,6 +85,10 @@ class Scenario:
     reals: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.poset, Poset):
+            raise SpecError(f'"poset" must be a Poset, got {self.poset!r}')
+        if not isinstance(self.plan, GoalPlan):
+            raise SpecError(f'"plan" must be a GoalPlan, got {self.plan!r}')
         if not _is_int(self.resolution) or self.resolution < 1:
             raise SpecError(f'"resolution" must be an integer >= 1, got {self.resolution!r}')
         if not _is_int(self.seed):

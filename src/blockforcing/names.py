@@ -10,6 +10,9 @@ workspace carries.  Four families cover everything the engine needs:
   rank disagrees with the pattern
 - merge(left, right): the coarsest sequence each of whose blocks contains
   a whole block of each child
+
+A merge records what it reads (coordinates and diagonal ranks) when it is
+built, from its children's records, so no query walks a name's leaves.
 """
 
 from dataclasses import dataclass, field
@@ -51,12 +54,16 @@ class MergeName:
     _hash: int = field(init=False, repr=False, compare=False)
     # Merge levels from here down to the deepest leaf; walks bound it.
     depth: int = field(init=False, repr=False, compare=False)
+    # The coordinates and diagonal rank tags the name reads.
+    elements: frozenset = field(init=False, repr=False, compare=False)
+    ranks: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.left, self.right)))
-        object.__setattr__(
-            self, "depth", 1 + max(getattr(self.left, "depth", 0), getattr(self.right, "depth", 0))
-        )
+        left, right = self.left, self.right
+        object.__setattr__(self, "_hash", hash((left, right)))
+        object.__setattr__(self, "depth", 1 + max(getattr(left, "depth", 0), getattr(right, "depth", 0)))
+        object.__setattr__(self, "elements", coordinate_elements(left) | coordinate_elements(right))
+        object.__setattr__(self, "ranks", diagonal_ranks(left) | diagonal_ranks(right))
 
     def __hash__(self):
         return self._hash
@@ -96,22 +103,15 @@ def descriptor(nm):
     raise ValueError(f"unknown name {nm!r}")
 
 
-def leaves(nm):
-    """The non-merge names inside nm; the walk keeps its own stack, so any depth walks."""
-    stack = [nm]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, MergeName):
-            stack += (cur.right, cur.left)
-        else:
-            yield cur
-
-
 def diagonal_ranks(nm):
     """All rank tags of diagonal names inside nm."""
-    return {leaf.rank for leaf in leaves(nm) if isinstance(leaf, DiagonalName)}
+    if isinstance(nm, MergeName):
+        return nm.ranks
+    return frozenset((nm.rank,) if isinstance(nm, DiagonalName) else ())
 
 
 def coordinate_elements(nm):
     """All coordinates whose t-sequences nm reads."""
-    return {leaf.element for leaf in leaves(nm) if isinstance(leaf, CoordinateName)}
+    if isinstance(nm, MergeName):
+        return nm.elements
+    return frozenset((nm.element,) if isinstance(nm, CoordinateName) else ())

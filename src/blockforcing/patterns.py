@@ -49,6 +49,8 @@ class GroundReal:
 
     def __post_init__(self):
         kind = self.spec
+        if not isinstance(kind, str):
+            raise SpecError(f"pattern spec must be a string, got {kind!r}")
         word, mix = None, None
         if kind in ("zeros", "ones"):
             word = (int(kind == "ones"),)

@@ -218,6 +218,14 @@ def test_e_member_frozen():
         e_member(BitSeq.from01("01"), BitSeq.from01("10"), IncSeq(), 0, w)
 
 
+def test_e_member_refuses_a_negative_threshold():
+    # Index -1 would read the block [4, 0): an empty slice that "agrees".
+    z, x, f, w = (0, 1, 0, 1), (0, 0, 0, 0), (0, 2, 4), Window(0, 4)
+    assert e_member(z, x, f, 0, w)
+    with pytest.raises(ValueError, match="natural number"):
+        e_member(z, x, f, -1, w)
+
+
 @given(
     st.lists(st.integers(0, 1), min_size=12, max_size=12),
     st.lists(st.integers(0, 1), min_size=12, max_size=12),
@@ -347,14 +355,20 @@ def test_witness_random_instances():
         built += 1
 
 
-@given(inc_seqs, inc_seqs, word_kinds, word_kinds, st.data())
-def test_witness_checked_by_oracles_on_any_container(f, g, x_kind, y_kind, data):
+@given(inc_seqs, inc_seqs, word_kinds, word_kinds, seq_kinds, st.data())
+def test_witness_checked_by_oracles_on_any_container(f, g, x_kind, y_kind, fg_kind, data):
     w = Window(0, 40)
     need = max(f.last, g.last)
     bits = st.lists(st.integers(0, 1), min_size=need, max_size=need)
     x, y = data.draw(bits), data.draw(bits)
     chosen = _greedy_non_adjacent(oracle_refine_violations(f, g, w))
-    args = (_container(x_kind, x), _container(y_kind, y), f, g, w)
+    args = (
+        _container(x_kind, x),
+        _container(y_kind, y),
+        _container(fg_kind, f),
+        _container(fg_kind, g),
+        w,
+    )
     if len(chosen) < 2:
         with pytest.raises(InsufficientViolations):
             non_subset_witness(*args)

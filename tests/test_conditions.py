@@ -6,7 +6,7 @@ import sys
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from blockforcing import (
@@ -116,14 +116,6 @@ def test_descriptor_tags():
     }
     with pytest.raises(ValueError):
         descriptor(object())
-
-
-def test_name_introspection():
-    nm = MergeName(DiagonalName(ZEROS, 2), MergeName(CoordinateName("a"), CoordinateName("b")))
-    assert diagonal_ranks(nm) == {2}
-    assert coordinate_elements(nm) == {"a", "b"}
-    assert diagonal_ranks(GroundName(0)) == set()
-    assert coordinate_elements(GroundName(0)) == set()
 
 
 # -- restrict --
@@ -237,8 +229,16 @@ def _deep_merge(depth):
         (V_RP, {0: "", 1: "1111"}, {"a": (1,)}, {"a": (1, 3)}, DiagonalName(ZEROS, 1)),
         # nested far past the walk bound: undecidable, not a RecursionError
         (compute_ranks(Poset(["a"])), {0: ""}, {"a": (1,)}, {"a": (1, 2)}, _deep_merge(5000)),
+        # rank 0 is x's, below a, but p holds no Cohen prefix there to read
+        (
+            compute_ranks(Poset(["x", "a"], [("x", "a")])),
+            {1: ""},
+            {"a": (1,), "x": (0, 1)},
+            {"a": (1, 3)},
+            DiagonalName(ZEROS, 0),
+        ),
     ],
-    ids=["coordinate-beside", "diagonal-above", "deep-merge"],
+    ids=["coordinate-beside", "diagonal-above", "deep-merge", "diagonal-without-prefix"],
 )
 def test_clause_3b_judges_only_what_lies_below(rp, cohen01, old_t, new_t, name):
     support = set(old_t)
@@ -258,6 +258,14 @@ def test_equal_deep_names_link_without_recursion():
     for _ in range(5000):
         right = [MergeName(GroundName(0, 1), nm) for nm in right]
     assert right[0] == right[1] and right[0] != MergeName(GroundName(0, 2), right[1].right)
+    # each merge records what it reads, so either spine answers without a walk
+    reads_left, reads_right = CoordinateName("a"), DiagonalName(ZEROS, 1)
+    for _ in range(5000):
+        reads_left = MergeName(reads_left, GroundName(0, 1))
+        reads_right = MergeName(GroundName(0, 1), reads_right)
+    assert (coordinate_elements(reads_left), diagonal_ranks(reads_left)) == ({"a"}, set())
+    assert (coordinate_elements(reads_right), diagonal_ranks(reads_right)) == (set(), {1})
+    assert coordinate_elements(old) == diagonal_ranks(right[0]) == set()
 
     class Tie:  # every instance hashes alike: only the structure parts them
         def __hash__(self):
@@ -558,6 +566,26 @@ def _nested_names(levels):
     return st.one_of(below, st.builds(MergeName, below, below))
 
 
+def _leaf_reads(nm):
+    """The coordinates and diagonal ranks nm reads, found by walking its leaves."""
+    stack, elements, ranks = [nm], set(), set()
+    while stack:
+        cur = stack.pop()
+        if isinstance(cur, MergeName):
+            stack += (cur.left, cur.right)
+        elif isinstance(cur, CoordinateName):
+            elements.add(cur.element)
+        elif isinstance(cur, DiagonalName):
+            ranks.add(cur.rank)
+    return elements, ranks
+
+
+@given(_nested_names(3))
+def test_name_introspection(nm):
+    # what a merge recorded when built is what a walk over its leaves finds
+    assert (coordinate_elements(nm), diagonal_ranks(nm)) == _leaf_reads(nm)
+
+
 def _first_block(bounds, lo):
     return next(((x, y) for x, y in zip(bounds, bounds[1:]) if x >= lo), None)
 
@@ -594,7 +622,12 @@ def _coords(t, names):
     return {b: CoordPart(vals, names[b]) for b, vals in t.items()}
 
 
-@settings(max_examples=150, deadline=None)
+# No shrinking: a broken walk then fails in seconds instead of minutes.
+@settings(
+    max_examples=150,
+    deadline=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target),
+)
 @given(
     st.lists(_nested_names(3), min_size=1, max_size=3),
     st.fixed_dictionaries({rank: st.lists(st.integers(0, 1), max_size=30) for rank in (0, 1)}),

@@ -100,12 +100,24 @@ def test_scenario_rejects_malformed(obj):
         ("resolution", 0),
         ("resolution", True),
         ("ground_reals", ("bogus",)),
+        ("ground_reals", (3,)),
+        ("plan", {"min_t_length": 1}),
+        ("poset", {"elements": ["a"]}),
     ],
-    ids=["seed-bool", "variant-int", "resolution-0", "resolution-bool", "bad-pattern"],
+    ids=[
+        "seed-bool",
+        "variant-int",
+        "resolution-0",
+        "resolution-bool",
+        "bad-pattern",
+        "pattern-int",
+        "plan-dict",
+        "poset-dict",
+    ],
 )
 def test_scenario_checks_itself_however_made(field, value):
     with pytest.raises(SpecError):
-        Scenario(poset=V_POSET, cofinal=frozenset("abc"), **{field: value})
+        Scenario(**{"poset": V_POSET, "cofinal": frozenset("abc"), field: value})
     sc = Scenario(poset=V_POSET, cofinal=frozenset("abc"))
     with pytest.raises(SpecError):
         dataclasses.replace(sc, **{field: value})
