@@ -193,15 +193,12 @@ def e_member(z, x, f, m, w):
     return True
 
 
-def non_subset_witness(x, y, f, g, w):
-    """A word that disagrees with x in every f-block yet copies y on two g-blocks.
+def _splice_witness(flipped, y, f, g, w):
+    """The witness word as a tuple, built from ``flipped``, the flip of x.
 
-    Violating g-blocks are thinned greedily to a pairwise non-adjacent
-    selection A'; the word is y on the selected blocks and the flip of x
-    everywhere else.  Non-adjacency matters: no f-block can span from one
-    selected block to another without crossing an unselected gap, where
-    the flip forces a disagreement.  Raises InsufficientViolations when
-    fewer than two non-adjacent violations exist.
+    Both ``non_subset_witness`` and the order audit build through here;
+    the audit flips and validates each rank's word once and hands it in,
+    so the spliced word needs no second validation.
     """
     fv, gv = _tuple(f), _tuple(g)
     chosen = []
@@ -214,14 +211,27 @@ def non_subset_witness(x, y, f, g, w):
             f"need 2 non-adjacent violating blocks, found {len(chosen)}"
         )
     need = max(fv[-1], gv[-1])
-    xv, yv = _tuple(x), _tuple(y)
-    if len(xv) < need or len(yv) < need:
+    fx, yv = _tuple(flipped), _tuple(y)
+    if len(fx) < need or len(yv) < need:
         raise LengthTooShort(f"reference words must cover positions below {need}")
-    z = [1 - b for b in xv[:need]]
+    z = list(fx[:need])
     for n in chosen:
         lo, hi = gv[n], gv[n + 1]
         z[lo:hi] = yv[lo:hi]
-    return BitSeq(z)
+    return tuple(z)
+
+
+def non_subset_witness(x, y, f, g, w):
+    """A word that disagrees with x in every f-block yet copies y on two g-blocks.
+
+    Violating g-blocks are thinned greedily to a pairwise non-adjacent
+    selection A'; the word is y on the selected blocks and the flip of x
+    everywhere else.  Non-adjacency matters: no f-block can span from one
+    selected block to another without crossing an unselected gap, where
+    the flip forces a disagreement.  Raises InsufficientViolations when
+    fewer than two non-adjacent violations exist.
+    """
+    return BitSeq(_splice_witness([1 - b for b in _tuple(x)], y, f, g, w))
 
 
 def remark_counterexamples(bound):

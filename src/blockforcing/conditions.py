@@ -14,9 +14,11 @@ each t-sequence a tuple of ints.  A link freezes what grew since the
 previous link and shares the rest: a coordinate with the same name
 object and t-length keeps the previous part, a Cohen prefix of the same
 length its tuple.  Run state grows only at its ends, so equal length
-means equal data; and the per-link order check still compares data, so
-a piece edited in place fails clause 2 or 3 when it next grows.  The
-derived reals validate the data once, at the end of a run (see
+means equal data.  The order check takes a part or prefix that p shares
+with q by identity as its own extension (clauses 2, 3 and 3a hold, and
+no gap is fresh) and compares every grown one, so a piece edited in
+place fails clause 2 or 3 when it next grows.  The derived reals
+validate the data once, at the end of a run (see
 ``engine.extract_reals_from``).
 
 Clause 3b is a forced statement, decided from determined data only.  The
@@ -122,6 +124,10 @@ def leq_check(p, q, rp, certs=frozenset(), cache=None):
 
     ``certs`` holds the clause 3a certificates: the merges the run made.
 
+    A coordinate part or Cohen prefix that p shares with q by identity
+    is its own extension and is skipped; every grown part is compared.
+    Clauses 1 and 4 are checked over the whole support.
+
     ``cache`` may be threaded through successive calls along one
     descending chain.  It holds one non-extending workspace, pointed at
     each link's p in turn, whose walk caches every coordinate shares: all
@@ -144,13 +150,16 @@ def leq_check(p, q, rp, certs=frozenset(), cache=None):
     for rank in sorted(q.cohen):
         old = q.cohen[rank]
         new = p.cohen.get(rank, ())
-        if new[: len(old)] != old:
+        if new is not old and new[: len(old)] != old:
             violations.append(Violation("2", rank, "Cohen prefix not extended"))
 
     shared = q.support & p.support
     for b in sorted(shared):
-        old_vals, name_old = q.coords[b]
-        new_vals, name_new = p.coords[b]
+        old_part, new_part = q.coords[b], p.coords[b]
+        if new_part is old_part:
+            continue  # one object: clauses 3 and 3a hold, and no gap is fresh
+        old_vals, name_old = old_part
+        new_vals, name_new = new_part
         if new_vals[: len(old_vals)] != old_vals:
             violations.append(Violation("3", b, "t-sequence not extended"))
             continue

@@ -17,7 +17,9 @@ A comparable cell needs at least one judged block with no violation.
 A separated cell needs a clean recorded gap and a witness word that
 re-checks (``witness_valid: false`` leaves it undetermined): the word
 must disagree with x in every judged block of t_a and copy y on two
-blocks of t_b.  Each rank's Cohen word is padded once, for every witness.
+blocks of t_b.  Each rank's Cohen word is padded, flipped and validated
+once, for every witness; every witness is still re-checked block by
+block, over every judged block of t_a and every block of t_b.
 """
 
 import json
@@ -26,8 +28,9 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, fields
 from itertools import product
 
-from .blocks import BitSeq, Window, e_member, non_subset_witness, refines_at
-from .blocks import _judged_refine_indices
+from .blocks import BitSeq, Window, e_member, refines_at
+from .blocks import _judged_refine_indices, _splice_witness
+from .blocks import non_subset_witness  # noqa: F401  (a seam perfbench/tracing.py rebinds)
 from .engine import (
     CohenDisagreeGoal,
     DominateGoal,
@@ -259,15 +262,20 @@ def _gap_is_clean(d_a, d_b, index, block):
     return i == len(av) or av[i] >= hi
 
 
-def _witness_evidence(x, y, d_a, d_b, w):
-    """Build and re-check a separating word from rank words padded to cover w."""
+def _witness_evidence(x, flipped, y, d_a, d_b, w):
+    """Build a separating word from x's flip and re-check it against x and y.
+
+    Every word is padded to cover w and already validated, so the word
+    spliced from them is not validated again; the re-checks below judge
+    every block of t_a and count the agreeing blocks of t_b all the same.
+    """
     try:
-        z = non_subset_witness(x, y, d_a, d_b, w)
+        zv = _splice_witness(flipped, y, d_a, d_b, w)
     except InsufficientViolations as err:
         return {"witness_valid": False, "witness_note": str(err)}
-    zv, bv = z.bits, d_b.values
+    bv = d_b.values
     agreeing = sum(zv[lo:hi] == y[lo:hi] for lo, hi in zip(bv, bv[1:]))
-    valid = e_member(z, x, d_a, 0, w) and agreeing >= 2
+    valid = e_member(zv, x, d_a, 0, w) and agreeing >= 2
     return {"witness_valid": bool(valid), "witness_agreeing_blocks": agreeing}
 
 
@@ -288,6 +296,7 @@ def check_isomorphism(run, question_variant=False):
     limit = max((d.last for d in dom.values() if len(d)), default=0)
     w = Window(0, limit)
     words = {r: bits.bits + (0,) * (limit - len(bits)) for r, bits in run.derived.cohen.items()}
+    flips = {}
     cells = {}
     variant = []
 
@@ -341,8 +350,11 @@ def check_isomorphism(run, question_variant=False):
                 evidence = {"route": "recorded-blocks", "gaps": audited}
                 verdict = "undetermined"
                 if any(g["clean"] for g in audited):
-                    x, y = words[rp.ranks[a]], words[rp.ranks[b]]
-                    evidence.update(_witness_evidence(x, y, d_a, d_b, w))
+                    r = rp.ranks[a]
+                    if r not in flips:
+                        flips[r] = BitSeq([1 - v for v in words[r]]).bits
+                    x, y = words[r], words[rp.ranks[b]]
+                    evidence.update(_witness_evidence(x, flips[r], y, d_a, d_b, w))
                     if evidence["witness_valid"]:
                         verdict = "non-subset-certified"
                 elif not recorded:

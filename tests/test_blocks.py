@@ -22,6 +22,7 @@ from blockforcing import (
     remark_counterexamples,
     star_dominates_at,
 )
+from blockforcing.blocks import _splice_witness
 
 
 # -- oracles: independent recomputations by double loop --
@@ -382,6 +383,26 @@ def test_witness_checked_by_oracles_on_any_container(f, g, x_kind, y_kind, fg_ki
         n for n in range(len(g) - 1) if all(z[j] == y[j] for j in range(g[n], g[n + 1]))
     ]
     assert any(later > first + 1 for first in agreeing for later in agreeing)
+
+
+@given(inc_seqs, inc_seqs, st.data())
+def test_audit_builder_is_the_public_witness(f, g, data):
+    # The order audit builds from each rank's word flipped once; fed flip(x),
+    # its builder returns the public witness's bits or fails the same way.
+    w = Window(0, 40)
+    need = max(f.last, g.last)
+    bits = st.lists(st.integers(0, 1), min_size=max(need - 2, 0), max_size=need + 2)
+    x, y = data.draw(bits), data.draw(bits)
+
+    def outcome(build):
+        try:
+            return build()
+        except (InsufficientViolations, LengthTooShort) as err:
+            return type(err), str(err)
+
+    public = outcome(lambda: non_subset_witness(x, y, f, g, w).bits)
+    audit = outcome(lambda: _splice_witness(tuple(1 - b for b in x), tuple(y), f, g, w))
+    assert audit == public
 
 
 # -- the separating certificate search --

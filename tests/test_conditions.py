@@ -431,6 +431,75 @@ def test_leq_ignores_unrelated_growth():
     assert leq_check(p, q, V_RP)
 
 
+def _unshared(p):
+    """p with every coordinate part and Cohen prefix rebuilt as a fresh object."""
+    return Condition(
+        cohen={r: tuple(list(bits)) for r, bits in p.cohen.items()},
+        coords={b: CoordPart(tuple(list(part.t)), part.name) for b, part in p.coords.items()},
+    )
+
+
+SHARING_RUNS = {
+    "antichain-4": (Poset(["a", "b", "c", "d"]), None, ()),
+    "chain-4": (Poset(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")]), None, ()),
+    "v-two-patterns": (V_RP.poset, None, (ZEROS, GroundReal("periodic:01"))),
+    "same-rank-diamond": (
+        Poset(["w", "x", "y", "z"], [("x", "y"), ("x", "z"), ("y", "w"), ("z", "w")]),
+        {"w"},
+        (),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHARING_RUNS))
+def test_parts_shared_by_identity_change_no_verdict(case):
+    # leq_check skips a part that p shares with q by identity.  The same p
+    # with nothing shared must get the same report on every link, read
+    # forwards (it holds) and backwards (every grown part fails).
+    poset, cofinal, reals = SHARING_RUNS[case]
+    rp = compute_ranks(poset, cofinal)
+    run = build_generic(rp, build_goals(rp, reals, GoalPlan()), 10**6)
+    certs = run.certificates
+    skipped = failed = 0
+    for older, newer in zip(run.chain, run.chain[1:]):
+        for p, q in ((newer, older), (older, newer)):
+            fresh = _unshared(p)
+            assert not any(part is q.coords.get(b) for b, part in fresh.coords.items())
+            skipped += sum(part is q.coords.get(b) for b, part in p.coords.items())
+            report = leq_check(p, q, rp, certs)
+            assert leq_check(fresh, q, rp, certs) == report
+            failed += not report
+    assert skipped and failed
+
+
+def test_links_that_reuse_parts_they_may_not_still_fail():
+    rp = compute_ranks(Poset(["a", "b", "c", "d"]))
+    run = build_generic(rp, build_goals(rp, (), GoalPlan()), 10**6)
+    certs = run.certificates
+    # A link where some coordinate kept its part and another grew past a nonempty t.
+    for q, p in zip(run.chain, run.chain[1:]):
+        kept = [b for b in sorted(q.coords) if p.coords[b] is q.coords[b] and q.coords[b].t]
+        grown = [b for b in sorted(q.coords) if p.coords[b] is not q.coords[b] and q.coords[b].t]
+        if kept and grown:
+            break
+    else:
+        pytest.fail("no link keeps one part and grows another")
+    assert leq_check(p, q, rp, certs)
+    b, c = kept[0], grown[0]
+    t_c = list(p.coords[c].t)
+    t_c[len(q.coords[c].t) - 1] += 1
+    cases = {
+        # q's very t tuple, under a name no certificate links to the old one
+        "3a": {**p.coords, b: CoordPart(q.coords[b].t, DiagonalName(ZEROS, 0))},
+        "1": {x: part for x, part in p.coords.items() if x != b},
+        "3": {**p.coords, c: CoordPart(tuple(t_c), p.coords[c].name)},
+    }
+    expected = {"3a": [("3a", b)], "1": [("1", (b,))], "3": [("3", c)]}
+    for clause, coords in cases.items():
+        report = leq_check(Condition(p.cohen, coords), q, rp, certs)
+        assert [(v.clause, v.subject) for v in report.violations] == expected[clause]
+
+
 # -- walking names off a workspace --
 
 

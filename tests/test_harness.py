@@ -315,6 +315,32 @@ def test_separated_cell_needs_a_witness_that_rechecks(tmp_path, capsys):
     assert "failed: order audit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("build", ["flip-unspliced", "x-itself"])
+def test_order_audit_rechecks_the_words_it_builds(build, tmp_path, capsys, monkeypatch):
+    # Both elements share rank 0, so x = y.  The flip of x copies y on no
+    # block; x itself disagrees with x on none.  A builder handing back
+    # either word must leave the pair's cells undetermined.
+    obj = {"poset": {"elements": ["x", "y"]}}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(obj))
+    assert run_scenario(_scenario(obj))[1].ok
+
+    def broken(flipped, y, f, g, w):
+        return tuple(flipped) if build == "flip-unspliced" else tuple(1 - v for v in flipped)
+
+    monkeypatch.setattr(harness, "_splice_witness", broken)
+    _, iso, _ = run_scenario(_scenario(obj))
+    for a, b in (("x", "y"), ("y", "x")):
+        cell = iso.cells[a][b]
+        assert cell["verdict"] == "undetermined"
+        assert cell["evidence"]["witness_valid"] is False
+        agreeing = cell["evidence"]["witness_agreeing_blocks"]
+        # with two agreeing blocks and more, only e_member can have refused x itself
+        assert agreeing < 2 if build == "flip-unspliced" else agreeing >= 2
+    assert main(["run", str(path), "--out", str(tmp_path / "report.json")]) == 1
+    assert "failed: order audit" in capsys.readouterr().err
+
+
 def test_order_audit_rejects_shifted_gaps():
     # Every recorded gap of (x, y) shifted one place right is no gap of t_y,
     # so the audit may not read the cell as separated.
