@@ -19,7 +19,9 @@ re-checks (``witness_valid: false`` leaves it undetermined): the word
 must disagree with x in every judged block of t_a and copy y on two
 blocks of t_b.  Each rank's Cohen word is padded, flipped and validated
 once, for every witness; every witness is still re-checked block by
-block, over every judged block of t_a and every block of t_b.
+block, over every judged block of t_a and every block of t_b.  The
+report's bytes are those of ``json.dumps(obj, sort_keys=True,
+indent=2)``, written by a small writer of its own.
 """
 
 import json
@@ -27,6 +29,7 @@ import os
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, fields
 from itertools import product
+from json.encoder import encode_basestring_ascii
 
 from .blocks import BitSeq, Window, e_member, refines_at
 from .blocks import _judged_refine_indices, _splice_witness
@@ -483,5 +486,65 @@ def report_json(run, iso, cov, sc):
     }
 
 
+_WORDS = {True: "true", False: "false", None: "null"}
+# Each leaf's JSON text, by exact type: a bool is not written as an int.
+_LEAVES = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: _WORDS.__getitem__,
+    type(None): _WORDS.__getitem__,
+}
+
+
+def _write(o, out, nl):
+    """Append the pieces of o's JSON text to out; nl is a newline plus o's indent."""
+    t = type(o)
+    leaf = _LEAVES.get(t)
+    if leaf is not None:
+        out.append(leaf(o))
+    elif t is dict:
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            # encode_basestring_ascii refuses a key that is not a str
+            out.append(sep + encode_basestring_ascii(k) + ": ")
+            _write(v, out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif t is list or t is tuple:
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        kinds = set(map(type, o))
+        leaf = _LEAVES.get(kinds.pop()) if len(kinds) == 1 else None
+        if leaf is not None:
+            out.append("[" + inner + ("," + inner).join(map(leaf, o)) + nl + "]")
+            return
+        sep = "[" + inner
+        for v in o:
+            out.append(sep)
+            _write(v, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    else:
+        raise TypeError(f"a report holds no {t.__name__}")
+
+
+def _dumps(obj):
+    """The text of ``json.dumps(obj, sort_keys=True, indent=2)``, written
+    without the stdlib's per-container generators.
+
+    obj is a tree of dicts with str keys, lists, tuples, str, int, bool
+    and None; any other type raises TypeError.
+    """
+    out = []
+    _write(obj, out, "\n")
+    return "".join(out)
+
+
 def render_report(run, iso, cov, sc):
-    return json.dumps(report_json(run, iso, cov, sc), sort_keys=True, indent=2) + "\n"
+    return _dumps(report_json(run, iso, cov, sc)) + "\n"

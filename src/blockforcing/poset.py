@@ -157,10 +157,16 @@ def restricted_linear_order(poset, coords):
     return out
 
 
+_POSET_KEYS = {"elements", "relations", "cofinal_set"}
+
+
 def load_poset(obj):
     """Build ``(Poset, cofinal_set)`` from a parsed JSON object."""
     if not isinstance(obj, dict):
         raise SpecError("poset JSON must be an object")
+    unknown = set(obj) - _POSET_KEYS
+    if unknown:
+        raise SpecError(f"unknown poset keys {sorted(unknown)}")
     elements = obj.get("elements")
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
         raise SpecError('"elements" must be a list of strings')

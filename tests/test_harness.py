@@ -8,6 +8,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockforcing import (
     BitSeq,
@@ -41,7 +43,7 @@ from blockforcing import (
 )
 from blockforcing import cli, harness
 from blockforcing.cli import main
-from blockforcing.harness import _plan_counts, report_json
+from blockforcing.harness import _dumps, _plan_counts, report_json
 from conftest import assert_chain_sound, random_poset
 
 
@@ -519,6 +521,52 @@ def test_report_bytes_frozen(case):
     assert hashlib.sha256(report.encode()).hexdigest() == digest
 
 
+# -- the report writer --
+
+
+_ESCAPES = '"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\ud800\U0001d11e'
+_TEXT = st.text() | st.text(alphabet=_ESCAPES)
+_INTS = st.integers() | st.sampled_from([10**300, -(10**300), 2**63, -(2**63) - 1, -1, 0])
+_LEAF = st.none() | st.booleans() | _INTS | _TEXT
+# Lists of one leaf type take the writer's one-join path; the others,
+# bools mixed with ints among them, go item by item.
+_LEAF_LISTS = st.one_of([st.lists(leaf, max_size=6) for leaf in (_INTS, st.booleans(), _TEXT, st.none())])
+_TREES = st.recursive(
+    _LEAF | _LEAF_LISTS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_TEXT, inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+@settings(deadline=None)
+@given(_TREES)
+def test_writer_matches_the_stdlib_encoder(obj):
+    assert _dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [1.5, {"a": [0, 1.0]}, [2.0, 3.0], {1, 2}, [True, {"k": {"set"}}], {1: "a"}, {"a": {None: 0}}],
+    ids=["float", "nested-float", "float-list", "set", "nested-set", "int-key", "nested-none-key"],
+)
+def test_writer_refuses_what_reports_never_hold(obj):
+    with pytest.raises(TypeError):
+        _dumps(obj)
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_REPORTS))
+def test_render_report_is_the_stdlib_encoding(case):
+    obj, _ = FROZEN_REPORTS[case]
+    sc = load_scenario(DEMO_SCENARIO) if obj is None else _scenario(obj)
+    result = run_scenario(sc)
+    expected = json.dumps(report_json(*result, sc), sort_keys=True, indent=2) + "\n"
+    assert render_report(*result, sc) == expected
+
+
 # -- command line --
 
 
@@ -770,6 +818,19 @@ def test_cli_refuses_duplicate_elements(entry, obj, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: \"elements\" lists ['a'] more than once\n"
+
+
+@pytest.mark.parametrize("entry", ["run", "check-poset"])
+def test_cli_refuses_unknown_poset_keys(entry, tmp_path, capsys):
+    # "cofinal" is the key reports print; read as a poset key it would
+    # have been ignored, leaving every element cofinal
+    poset = {"elements": ["a", "b"], "cofinal": ["a"]}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"poset": poset} if entry == "run" else poset))
+    assert main([entry, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown poset keys ['cofinal']\n"
 
 
 @pytest.mark.parametrize(
