@@ -9,11 +9,12 @@ beyond which nothing is judged.  Every comparison returns the set of
 violating indices instead of a bare boolean, so a caller can tell a
 violation before the threshold from one inside the judged range.
 
-Block-level work reads plain tuples (``IncSeq.values``, ``BitSeq.bits``,
-or a caller's list or tuple converted once) and compares a block as one
-slice, ``z[lo:hi] == x[lo:hi]``, instead of bit by bit.  Words are
-converted to tuples before slicing, so a list never meets a tuple in a
-comparison.
+Sequences are read as plain tuples (``IncSeq.values``, or a caller's
+list or tuple converted once).  A 0/1 word is ``bytes`` (``BitSeq.bits``
+already is; ``_word`` converts anything else once), and a block is
+compared as one slice, ``z[lo:hi] == x[lo:hi]``, instead of bit by bit.
+Every word passes through ``_word`` before it is sliced, so a tuple or
+list never meets ``bytes`` in a comparison, where it would never be equal.
 """
 
 from bisect import bisect_left, bisect_right
@@ -31,6 +32,9 @@ from .errors import (
 
 
 _BIT_VALUES = frozenset((0, 1))
+# Swaps 0 and 1 in a word held as bytes.
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+_TO01 = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _integers(values):
@@ -43,12 +47,22 @@ def _integers(values):
 
 
 def _tuple(seq):
-    """The entries of seq as a tuple; IncSeq and BitSeq hand over their own."""
+    """The entries of seq as a tuple; IncSeq hands over its own."""
     if isinstance(seq, IncSeq):
         return seq.values
-    if isinstance(seq, BitSeq):
-        return seq.bits
     return tuple(seq)
+
+
+def _word(bits):
+    """The word bits as bytes; BitSeq hands over its own, and bytes is kept as it is."""
+    if isinstance(bits, BitSeq):
+        return bits.bits
+    return bytes(bits)
+
+
+def _flip(word):
+    """The bytes word with every bit swapped."""
+    return _word(word).translate(_FLIP)
 
 
 @dataclass(frozen=True, init=False)
@@ -91,22 +105,22 @@ class IncSeq:
 
 @dataclass(frozen=True, init=False)
 class BitSeq:
-    """A finite word over {0, 1}."""
+    """A finite word over {0, 1}, held as ``bytes`` and validated once, when built."""
 
-    bits: tuple
+    bits: bytes
 
-    def __init__(self, bits=()):
-        vals = _integers(bits)
+    def __init__(self, bits=b""):
+        vals = bits if isinstance(bits, (bytes, bytearray)) else _integers(bits)
         if not _BIT_VALUES.issuperset(vals):
             raise ValueError("bits must be 0 or 1")
-        object.__setattr__(self, "bits", vals)
+        object.__setattr__(self, "bits", bytes(vals))
 
     @classmethod
     def from01(cls, text):
         return cls(int(ch) for ch in text)
 
     def to01(self):
-        return "".join(str(b) for b in self.bits)
+        return self.bits.translate(_TO01).decode("ascii")
 
     def __len__(self):
         return len(self.bits)
@@ -183,7 +197,7 @@ def e_member(z, x, f, m, w):
     last = fv[-1]
     if last > w.limit:
         raise LengthTooShort(f"blocks reach {last}, past the window limit {w.limit}")
-    zv, xv = _tuple(z), _tuple(x)
+    zv, xv = _word(z), _word(x)
     if len(zv) < last or len(xv) < last:
         raise LengthTooShort(f"words must cover positions below {last}")
     for n in range(m, len(fv) - 1):
@@ -194,11 +208,11 @@ def e_member(z, x, f, m, w):
 
 
 def _splice_witness(flipped, y, f, g, w):
-    """The witness word as a tuple, built from ``flipped``, the flip of x.
+    """The witness word as bytes, built from ``flipped``, the flip of x.
 
     Both ``non_subset_witness`` and the order audit build through here;
-    the audit flips and validates each rank's word once and hands it in,
-    so the spliced word needs no second validation.
+    the audit flips each rank's validated word once and hands it in, so
+    the spliced word needs no second validation.
     """
     fv, gv = _tuple(f), _tuple(g)
     chosen = []
@@ -211,14 +225,14 @@ def _splice_witness(flipped, y, f, g, w):
             f"need 2 non-adjacent violating blocks, found {len(chosen)}"
         )
     need = max(fv[-1], gv[-1])
-    fx, yv = _tuple(flipped), _tuple(y)
+    fx, yv = _word(flipped), _word(y)
     if len(fx) < need or len(yv) < need:
         raise LengthTooShort(f"reference words must cover positions below {need}")
-    z = list(fx[:need])
+    z = bytearray(fx[:need])
     for n in chosen:
         lo, hi = gv[n], gv[n + 1]
         z[lo:hi] = yv[lo:hi]
-    return tuple(z)
+    return bytes(z)
 
 
 def non_subset_witness(x, y, f, g, w):
@@ -231,7 +245,7 @@ def non_subset_witness(x, y, f, g, w):
     the flip forces a disagreement.  Raises InsufficientViolations when
     fewer than two non-adjacent violations exist.
     """
-    return BitSeq(_splice_witness([1 - b for b in _tuple(x)], y, f, g, w))
+    return BitSeq(_splice_witness(_flip(x), y, f, g, w))
 
 
 def remark_counterexamples(bound):

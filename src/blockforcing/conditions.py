@@ -9,17 +9,19 @@ a block of the old name inside every newly opened t-gap (clause 3b), and
 nest same-rank comparable coordinates (clause 4).  A merge's blocks each
 contain a block of its left child, the name it replaced.
 
-Conditions hold plain tuples: each Cohen prefix is a tuple of bits and
-each t-sequence a tuple of ints.  A link freezes what grew since the
-previous link and shares the rest: a coordinate with the same name
-object and t-length keeps the previous part, a Cohen prefix of the same
-length its tuple.  Run state grows only at its ends, so equal length
-means equal data.  The order check takes a part or prefix that p shares
-with q by identity as its own extension (clauses 2, 3 and 3a hold, and
-no gap is fresh) and compares every grown one, so a piece edited in
-place fails clause 2 or 3 when it next grows.  The derived reals
-validate the data once, at the end of a run (see
-``engine.extract_reals_from``).
+Conditions hold immutable data: each Cohen prefix is ``bytes``, one byte
+per bit, and each t-sequence a tuple of ints.  A condition turns any
+prefix it is given into ``bytes`` when built, so a prefix handed in as a
+tuple or list compares with the others bit by bit, never by type.  A
+link freezes what grew since the previous link and shares the rest: a
+coordinate with the same name object and t-length keeps the previous
+part, a Cohen prefix of the same length its ``bytes``.  Run state grows
+only at its ends, so equal length means equal data.  The order check
+takes a part or prefix that p shares with q by identity as its own
+extension (clauses 2, 3 and 3a hold, and no gap is fresh) and compares
+every grown one, so a piece edited in place fails clause 2 or 3 when it
+next grows.  The derived reals validate the data once, at the end of a
+run (see ``engine.extract_reals_from``).
 
 Clause 3b is a forced statement, decided from determined data only.  The
 name at b ranges over the part of Q below b: its old name may read only
@@ -43,12 +45,16 @@ from .resolution import CoordPart, Workspace
 class Condition:
     """One forcing condition; treat as immutable after construction.
 
-    ``cohen`` maps each rank to a tuple of bits; ``coords`` maps each
-    support element to a :class:`CoordPart`.
+    ``cohen`` maps each rank to its prefix as ``bytes`` (any sequence of
+    bits given is converted; ``bytes`` is kept as the same object);
+    ``coords`` maps each support element to a :class:`CoordPart`.
     """
 
     cohen: dict
     coords: dict
+
+    def __post_init__(self):
+        object.__setattr__(self, "cohen", {r: bytes(bits) for r, bits in self.cohen.items()})
 
     @property
     def support(self):
@@ -74,11 +80,12 @@ class LeqReport:
 def restrict(p, b, rp):
     """The part of p visible strictly below b (in order and rank)."""
     rp.rank_of(b)  # an unknown b raises UnknownElement
-    support = p.support & rp.below[b]
-    ranks = {rp.ranks[x] for x in support}
+    below = rp.below[b]
+    coords = {x: part for x, part in p.coords.items() if x in below}
+    ranks = {rp.ranks[x] for x in coords}
     return Condition(
         cohen={r: bits for r, bits in p.cohen.items() if r in ranks},
-        coords={x: part for x, part in p.coords.items() if x in support},
+        coords=coords,
     )
 
 
@@ -91,17 +98,21 @@ def condition_of(ws, prev):
         coords[b] = CoordPart(tuple(vals), name) if grew else old
     cohen = {}
     for r in sorted({ws.rp.ranks[x] for x in coords}):
-        bits, old = ws.cohen.get(r, ()), prev.cohen.get(r)
-        cohen[r] = tuple(bits) if old is None or len(old) != len(bits) else old
+        bits, old = ws.cohen.get(r, b""), prev.cohen.get(r)
+        cohen[r] = bytes(bits) if old is None or len(old) != len(bits) else old
     return Condition(cohen, coords)
 
 
 def _reads_below(nm, b, p, rp):
     """Whether nm reads only ``restrict(p, b, rp)`` and b's Cohen rank: the clause 3b context."""
-    own, below = rp.rank_of(b), rp.below[b]  # an unknown b raises UnknownElement, as in restrict
-    elements, ranks = coordinate_elements(nm), diagonal_ranks(nm) - {own}
+    own = rp.rank_of(b)  # an unknown b raises UnknownElement, as in restrict
+    elements, ranks = coordinate_elements(nm), diagonal_ranks(nm)
+    if not elements and (not ranks or ranks == {own}):
+        return True  # reads nothing but b's own Cohen rank
+    below = rp.below[b]
     if not (elements <= below and elements <= p.coords.keys()):
         return False
+    ranks = ranks - {own}
     return not ranks or ranks <= p.cohen.keys() & {rp.ranks[x] for x in below if x in p.coords}
 
 
@@ -149,7 +160,7 @@ def leq_check(p, q, rp, certs=frozenset(), cache=None):
 
     for rank in sorted(q.cohen):
         old = q.cohen[rank]
-        new = p.cohen.get(rank, ())
+        new = p.cohen.get(rank, b"")
         if new is not old and new[: len(old)] != old:
             violations.append(Violation("2", rank, "Cohen prefix not extended"))
 
@@ -163,7 +174,7 @@ def leq_check(p, q, rp, certs=frozenset(), cache=None):
         if new_vals[: len(old_vals)] != old_vals:
             violations.append(Violation("3", b, "t-sequence not extended"))
             continue
-        if not _names_linked(name_old, name_new, certs):
+        if name_new is not name_old and not _names_linked(name_old, name_new, certs):
             violations.append(
                 Violation("3a", b, "names differ and no certificate chain connects them")
             )
@@ -174,12 +185,12 @@ def leq_check(p, q, rp, certs=frozenset(), cache=None):
             try:
                 blk = view.next_block(name_old, lo) if readable else None
             except CannotAdvance as err:
-                blk = None
                 detail = f"old name undecidable on [{lo}, {hi}): {err}"
             else:
+                if blk is not None and blk[1] <= hi:
+                    continue
                 detail = f"no determined block of the old name inside [{lo}, {hi})"
-            if blk is None or blk[1] > hi:
-                violations.append(Violation("3b", b, f"index {n}: {detail}"))
+            violations.append(Violation("3b", b, f"index {n}: {detail}"))
 
     for c, b in rp.same_rank_pairs:
         if c not in shared or b not in shared:

@@ -107,7 +107,7 @@ def start_condition(rp):
     elements = sorted(rp.poset.elements)
     ranks = sorted({rp.ranks[x] for x in elements})
     return Condition(
-        cohen={r: () for r in ranks},
+        cohen={r: b"" for r in ranks},
         coords=dict.fromkeys(elements, CoordPart((), GroundName(0, 1))),
     )
 

@@ -12,16 +12,17 @@ registered pattern inside every late block of every maximal
 coordinate.  The audits take the engine's ledger (its
 domination thresholds and recorded gaps) as claims only, and re-check
 each one with the finite combinatorics layer, so they would catch the
-engine lying.  The order audit compares whole blocks as tuple slices.
+engine lying.  The order audit compares whole blocks as ``bytes`` slices.
 A comparable cell needs at least one judged block with no violation.
 A separated cell needs a clean recorded gap and a witness word that
 re-checks (``witness_valid: false`` leaves it undetermined): the word
 must disagree with x in every judged block of t_a and copy y on two
-blocks of t_b.  Each rank's Cohen word is padded, flipped and validated
-once, for every witness; every witness is still re-checked block by
-block, over every judged block of t_a and every block of t_b.  The
-report's bytes are those of ``json.dumps(obj, sort_keys=True,
-indent=2)``, written by a small writer of its own.
+blocks of t_b.  Each rank's Cohen word, validated when the run's reals
+were derived, is padded and flipped once, for every witness; every
+witness is still re-checked block by block, over every judged block of
+t_a and every block of t_b.  The report's bytes are those of
+``json.dumps(obj, sort_keys=True, indent=2)``, written by a small writer
+of its own.
 """
 
 import json
@@ -32,7 +33,7 @@ from itertools import product
 from json.encoder import encode_basestring_ascii
 
 from .blocks import BitSeq, Window, e_member, refines_at
-from .blocks import _judged_refine_indices, _splice_witness
+from .blocks import _flip, _judged_refine_indices, _splice_witness, _word
 from .blocks import non_subset_witness  # noqa: F401  (a seam perfbench/tracing.py rebinds)
 from .engine import (
     CohenDisagreeGoal,
@@ -270,10 +271,11 @@ def _witness_evidence(x, flipped, y, d_a, d_b, w):
 
     Every word is padded to cover w and already validated, so the word
     spliced from them is not validated again; the re-checks below judge
-    every block of t_a and count the agreeing blocks of t_b all the same.
+    every block of t_a and count the agreeing blocks of t_b all the same,
+    over the built word as bytes, whatever type the builder handed back.
     """
     try:
-        zv = _splice_witness(flipped, y, d_a, d_b, w)
+        zv = _word(_splice_witness(flipped, y, d_a, d_b, w))
     except InsufficientViolations as err:
         return {"witness_valid": False, "witness_note": str(err)}
     bv = d_b.values
@@ -298,7 +300,7 @@ def check_isomorphism(run, question_variant=False):
     thresholds, _, gaps = _ledger_evidence(run)
     limit = max((d.last for d in dom.values() if len(d)), default=0)
     w = Window(0, limit)
-    words = {r: bits.bits + (0,) * (limit - len(bits)) for r, bits in run.derived.cohen.items()}
+    words = {r: bits.bits.ljust(limit, b"\0") for r, bits in run.derived.cohen.items()}
     flips = {}
     cells = {}
     variant = []
@@ -355,7 +357,7 @@ def check_isomorphism(run, question_variant=False):
                 if any(g["clean"] for g in audited):
                     r = rp.ranks[a]
                     if r not in flips:
-                        flips[r] = BitSeq([1 - v for v in words[r]]).bits
+                        flips[r] = _flip(words[r])
                     x, y = words[r], words[rp.ranks[b]]
                     evidence.update(_witness_evidence(x, flips[r], y, d_a, d_b, w))
                     if evidence["witness_valid"]:

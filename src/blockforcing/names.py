@@ -103,15 +103,19 @@ def descriptor(nm):
     raise ValueError(f"unknown name {nm!r}")
 
 
+# What a name that reads nothing of the kind reads: one set for every such leaf.
+_NOTHING = frozenset()
+
+
 def diagonal_ranks(nm):
     """All rank tags of diagonal names inside nm."""
     if isinstance(nm, MergeName):
         return nm.ranks
-    return frozenset((nm.rank,) if isinstance(nm, DiagonalName) else ())
+    return frozenset((nm.rank,)) if isinstance(nm, DiagonalName) else _NOTHING
 
 
 def coordinate_elements(nm):
     """All coordinates whose t-sequences nm reads."""
     if isinstance(nm, MergeName):
         return nm.elements
-    return frozenset((nm.element,) if isinstance(nm, CoordinateName) else ())
+    return frozenset((nm.element,)) if isinstance(nm, CoordinateName) else _NOTHING

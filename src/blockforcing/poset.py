@@ -105,6 +105,16 @@ class RankedPoset:
         return {r: sorted(x for x in self.ranks if self.ranks[x] == r) for r in set(self.ranks.values())}
 
     @cached_property
+    def same_rank_down(self):
+        """Each element with the elements below it at its rank, sorted: the
+        selection of a cascade topped there."""
+        pairs = self.poset.pairs
+        return {
+            top: tuple(x for x in self.at_rank[r] if x == top or (x, top) in pairs)
+            for top, r in self.ranks.items()
+        }
+
+    @cached_property
     def same_rank_pairs(self):
         """Every pair ``(c, b)`` with ``b < c`` at one rank, sorted."""
         return tuple(sorted((c, b) for b, c in self.poset.pairs if self.ranks[b] == self.ranks[c]))

@@ -3,7 +3,8 @@
 A workspace holds run state in a condition's own shape: ``cohen`` maps
 each rank to its Cohen prefix, and ``coords`` maps each coordinate to a
 :class:`CoordPart`, its t-sequence and its name.  In an extending
-workspace the prefixes and t-sequences are lists that grow only at
+workspace each prefix is a ``bytearray`` (one byte per bit, as a
+condition's ``bytes``) and each t-sequence a list, and both grow only at
 their ends (``append_t`` and the Cohen extends are the only writes),
 and a name is replaced, never edited.  The support is the set of
 coordinates in ``coords``; no query adds one, so a coordinate name
@@ -110,14 +111,14 @@ class _Diagonal(_Walk):
         # The next disagreement with the pattern past the last boundary; past the
         # word's end an extending workspace writes flips up to lo (or one), each a boundary.
         bit = self.nm.pattern.bit
-        v = ws.cohen.get(self.nm.rank, ())
+        v = ws.cohen.get(self.nm.rank, b"")
         for j in range(hs[-1] + 1 if hs else 0, len(v)):
             if v[j] != bit(j):
                 hs.append(j)
                 return True
         if not ws.extend:
             return False
-        v = ws.cohen.setdefault(self.nm.rank, [])
+        v = ws.cohen.setdefault(self.nm.rank, bytearray())
         flips = range(len(v), max(lo, len(v) + 1))
         v.extend(1 - bit(j) for j in flips)
         hs.extend(flips)
@@ -157,7 +158,7 @@ class CoordPart(NamedTuple):
 class Workspace:
     def __init__(self, rp, cohen, coords, extend=True):
         self.rp = rp
-        self.cohen = {rank: list(bits) for rank, bits in cohen.items()}
+        self.cohen = {rank: bytearray(bits) for rank, bits in cohen.items()}
         self.coords = {b: CoordPart(list(part.t), part.name) for b, part in coords.items()}
         self.extend = extend
         self._walks = {}
@@ -218,18 +219,19 @@ class Workspace:
         whenever c does; a workspace built from any other condition may
         not, and is refused.
         """
-        pairs = self.rp.poset.pairs
-        chosen = [
-            x
-            for x in self.rp.at_rank.get(rank, ())
-            if x in self.coords and (top is None or x == top or (x, top) in pairs)
-        ]
-        if not chosen or top is not None and top not in chosen:
+        rp, coords = self.rp, self.coords
+        if top is None:
+            members = rp.at_rank.get(rank, ())
+        elif rp.ranks.get(top) == rank and top in coords:
+            members = rp.same_rank_down[top]
+        else:
+            members = ()  # top is at another rank, or outside the support
+        chosen = [x for x in members if x in coords]
+        if not chosen:
             raise ValueError(f"nothing to cascade at rank {rank} under {top!r}")
-        if len(chosen) > 1 and self.rp.same_rank_pairs:
+        if len(chosen) > 1 and rp.same_rank_pairs:
             selected = set(chosen)
-            coords = self.coords
-            for c, b in self.rp.same_rank_pairs:
+            for c, b in rp.same_rank_pairs:
                 if c in selected and b in selected and _last(coords[b].t) < _last(coords[c].t):
                     raise ValueError(
                         f"{b!r} < {c!r} at rank {rank}, but t at {b!r} ends before t at {c!r}"

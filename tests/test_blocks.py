@@ -100,7 +100,7 @@ def test_containers_reject_non_integer_entries(make, entries):
 
 
 def test_containers_convert_bools():
-    assert BitSeq([True, False]).bits == (1, 0)
+    assert list(BitSeq([True, False]).bits) == [1, 0]
     assert IncSeq([False, True, 4]).values == (0, 1, 4)
 
 
@@ -403,6 +403,35 @@ def test_audit_builder_is_the_public_witness(f, g, data):
     public = outcome(lambda: non_subset_witness(x, y, f, g, w).bits)
     audit = outcome(lambda: _splice_witness(tuple(1 - b for b in x), tuple(y), f, g, w))
     assert audit == public
+
+
+@settings(max_examples=300, deadline=None)
+@given(inc_seqs, inc_seqs, st.integers(0, 4), st.data())
+def test_word_functions_read_every_container_alike(f, g, m, data):
+    # Words are compared only after one conversion to bytes, so a tuple, a
+    # list, bytes and a BitSeq, in any mix, give the same answer or the same exception.
+    w = Window(0, 40)
+    need = max(f.last, g.last)
+    bits = st.lists(st.integers(0, 1), min_size=max(need - 2, 0), max_size=need + 2)
+    z, x, y = data.draw(bits), data.draw(bits), data.draw(bits)
+    flipped = [1 - b for b in x]
+    kinds = st.sampled_from([tuple, list, bytes, BitSeq])
+    kz, kx, ky, kf = (data.draw(kinds) for _ in range(4))
+
+    def outcome(call):
+        try:
+            return call()
+        except (InsufficientViolations, LengthTooShort) as err:
+            return type(err), str(err)
+
+    def outcomes(kz, kx, ky, kf):
+        return (
+            outcome(lambda: e_member(kz(z), kx(x), f, m, w)),
+            outcome(lambda: non_subset_witness(kx(x), ky(y), f, g, w)),
+            outcome(lambda: _splice_witness(kf(flipped), ky(y), f, g, w)),
+        )
+
+    assert outcomes(kz, kx, ky, kf) == outcomes(BitSeq, BitSeq, BitSeq, BitSeq)
 
 
 # -- the separating certificate search --

@@ -248,6 +248,22 @@ def test_clause_3b_judges_only_what_lies_below(rp, cohen01, old_t, new_t, name):
     assert [(v.clause, v.subject) for v in report.violations] == [("3b", "a")]
 
 
+def test_clause_3b_details_are_pinned():
+    # Details are formatted only for a recorded violation; their text stays as it was.
+    q = _plain({"b"}, {0: ""}, {"b": ()}, {"b": GroundName(0, 100)})
+    p = _plain({"b"}, {0: ""}, {"b": (5, 8)}, {"b": GroundName(0, 100)})
+    assert [v.detail for v in leq_check(p, q, POINT_RP).violations] == [
+        "index 1: no determined block of the old name inside [5, 8)"
+    ]
+    nm = _deep_merge(5000)
+    q = _plain({"a"}, {0: ""}, {"a": (1,)}, {"a": nm})
+    p = _plain({"a"}, {0: ""}, {"a": (1, 2, 4)}, {"a": nm})
+    assert [v.detail for v in leq_check(p, q, compute_ranks(Poset(["a"]))).violations] == [
+        "index 1: old name undecidable on [1, 2): name nesting exceeds the depth bound",
+        "index 2: old name undecidable on [2, 4): name nesting exceeds the depth bound",
+    ]
+
+
 def test_equal_deep_names_link_without_recursion():
     # equal names nested 5,000 deep that share no node
     old, new = _deep_merge(5000), _deep_merge(5000)
@@ -472,6 +488,36 @@ def test_parts_shared_by_identity_change_no_verdict(case):
     assert skipped and failed
 
 
+# A Cohen prefix may be handed to a condition as any sequence of bits.
+PREFIX_KINDS = {"tuple": tuple, "list": list, "bytes": lambda bits: bytes(bytearray(bits))}
+
+
+def _prefixes_as(p, kind):
+    """p with every Cohen prefix handed in as a fresh object of the given kind."""
+    return Condition({r: PREFIX_KINDS[kind](bits) for r, bits in p.cohen.items()}, p.coords)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from(sorted(PREFIX_KINDS)),
+    st.sampled_from(sorted(PREFIX_KINDS)),
+)
+def test_prefix_types_change_no_verdict(seed, kind_p, kind_q):
+    # Prefixes become bytes when a condition is built, so the type a prefix
+    # came in as changes neither equality nor any report, read forwards or backwards.
+    poset = random_poset(seed, max_elements=4)
+    rp = compute_ranks(poset)
+    run = build_generic(rp, build_goals(rp, (ZEROS, GroundReal("periodic:0110")), GoalPlan()), 10**6)
+    certs = run.certificates
+    assert any(run.chain[-1].cohen.values())
+    for older, newer in zip(run.chain, run.chain[1:]):
+        for p, q in ((newer, older), (older, newer)):
+            as_p, as_q = _prefixes_as(p, kind_p), _prefixes_as(q, kind_q)
+            assert as_p == p == _prefixes_as(p, kind_q) and as_q == q
+            assert leq_check(as_p, as_q, rp, certs) == leq_check(p, q, rp, certs)
+
+
 def test_links_that_reuse_parts_they_may_not_still_fail():
     rp = compute_ranks(Poset(["a", "b", "c", "d"]))
     run = build_generic(rp, build_goals(rp, (), GoalPlan()), 10**6)
@@ -530,7 +576,7 @@ def test_resolve_ground_is_pure():
 def test_resolve_diagonal_flips_the_pattern():
     ws = _empty_ws()
     assert _walk(ws, DiagonalName(ZEROS, 0), 3) == [0, 1, 2]
-    assert ws.cohen == {0: [1, 1, 1]}
+    assert {r: list(bits) for r, bits in ws.cohen.items()} == {0: [1, 1, 1]}
     assert ws.coords == {}
 
 
@@ -600,7 +646,7 @@ def test_diagonal_walks_match_a_brute_force_scan(word, specs, seed, queries):
         fresh = Workspace(POINT_RP, {0: word}, {}, extend=False)
         expected = _disagreement_oracle(word, nm.pattern, lo)
         assert shared.next_block(nm, lo) == fresh.next_block(nm, lo) == expected
-    assert shared.cohen[0] == word
+    assert list(shared.cohen[0]) == word
 
     # An extending workspace grows the word only by flips of the pattern
     # it reads, and only up to one past the block it returns.
@@ -610,7 +656,7 @@ def test_diagonal_walks_match_a_brute_force_scan(word, specs, seed, queries):
         block = ws.next_block(nm, lo)
         new = ws.cohen[0]
         assert block == _disagreement_oracle(new, nm.pattern, lo)
-        assert new[: len(old)] == old
+        assert list(new[: len(old)]) == old
         if len(new) > len(old):
             assert all(new[j] != nm.pattern.bit(j) for j in range(len(old), len(new)))
             assert len(new) == block[1] + 1

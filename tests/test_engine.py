@@ -172,6 +172,42 @@ def test_cascade_rejects_empty_selection():
     assert _t(ws) == {"a": [], "b": [], "c": []}
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 2**6 - 1), st.booleans())
+def test_cascade_selection_matches_a_brute_force_scan(seed, support_mask, maximal_cofinal):
+    # The cascade reads its selection from a table built once per ranked
+    # poset; a scan of the rank for every (rank, top) must agree with it,
+    # including the refusals of a top at another rank or outside the support.
+    poset = random_poset(seed)
+    rp = compute_ranks(poset, poset.maximal_elements() if maximal_cofinal else None)
+    elements = sorted(poset.elements)
+    support = [x for i, x in enumerate(elements) if support_mask >> i & 1]
+    for top in elements:
+        expected = tuple(
+            x for x in elements if rp.ranks[x] == rp.ranks[top] and poset.leq(x, top)
+        )
+        assert rp.same_rank_down[top] == expected
+    start = start_condition(rp)
+    for rank in sorted(set(rp.ranks.values())) + [rp.top_rank]:
+        for top in [None, "ghost"] + elements:
+            chosen = [
+                x
+                for x in elements
+                if x in support
+                and rp.ranks[x] == rank
+                and (top is None or x == top or (x, top) in poset.pairs)
+            ]
+            ws = Workspace(rp, start.cohen, {x: start.coords[x] for x in support})
+            if not chosen or top is not None and top not in chosen:
+                with pytest.raises(ValueError) as err:
+                    ws.cascade(rank, top=top)
+                assert str(err.value) == f"nothing to cascade at rank {rank} under {top!r}"
+                assert all(not part.t for part in ws.coords.values())
+            else:
+                ws.cascade(rank, top=top)
+                assert sorted(x for x, part in ws.coords.items() if part.t) == chosen
+
+
 def test_cascade_refuses_a_lower_member_that_ends_first():
     # a < b tie at rank 0, but t_a ends below t_b: one shared value would
     # give b the gap [5, 6), which holds no whole block of t_a (clause 4)
