@@ -12,12 +12,15 @@ run here must pass both audits and ``assert_chain_sound``:
   cascade's same-rank guard);
 - larger shapes (chain 16, star 24, antichain 20, random 16) with all
   four pattern kinds;
-- and reports written by ``blockforcing run`` must match pinned sha256
+- reports written by ``blockforcing run`` must match pinned sha256
   digests and be byte-identical under two hash seeds and under
-  ``python -O``.
+  ``python -O``;
+- and the reports of every benchmark workload's ``--seed 1`` scenarios
+  and of the V demo must match one pinned table digest.
 """
 
 import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -32,7 +35,8 @@ sys.path.insert(0, os.path.join(ROOT, "tests"))
 # bounded_growth is autouse: importing it applies the tier-1 growth guard here too.
 from conftest import assert_chain_sound, bounded_growth, random_poset  # noqa: E402,F401
 
-from blockforcing import Poset, Scenario, compute_ranks, run_scenario  # noqa: E402
+from blockforcing import Poset, Scenario, compute_ranks, load_scenario  # noqa: E402
+from blockforcing import render_report, run_scenario  # noqa: E402
 from blockforcing.poset import dump_poset  # noqa: E402
 
 RESOLUTION = 10**6
@@ -172,3 +176,44 @@ def test_reports_identical_across_hash_seeds_and_optimize(tmp_path):
         assert hashlib.sha256(base).hexdigest() == REPORT_SHA256[os.path.basename(path)], path
         assert _report(path, str(tmp_path / "hash1.json"), "1") == base, path
         assert _report(path, str(tmp_path / "optimized.json"), "0", "-O") == base, path
+
+
+# sha256 of the report table the test below builds.  A change to the
+# benchmark's workloads re-pins it and lists the new table, line by line,
+# in a record named here.
+REPORT_TABLE_SHA256 = "f74968cb9f385c4709f45946931b4841758e22aceba2a5e94546818e7c9fbd2e"
+REPORT_TABLE_RECORD = "BENCH_bytes_words.json"
+
+
+def _workloads():
+    """perfbench/workloads.py, loaded from its file without putting perfbench on sys.path."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(ROOT, "perfbench", "workloads.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _report_digest(sc):
+    return hashlib.sha256(render_report(*run_scenario(sc), sc).encode()).hexdigest()
+
+
+def test_benchmark_reports_match_the_pinned_table():
+    # One line "<workload> <sid> <report sha256>" per --seed 1 scenario, in
+    # generation order, and the V demo's last.
+    workloads = _workloads()
+    table = [
+        f"{name} {sid} {_report_digest(Scenario.from_json(obj))}"
+        for name in workloads.WORKLOADS
+        for sid, obj in workloads.scenarios(name, 1)
+    ]
+    demo = load_scenario(os.path.join(ROOT, "demos", "data", "v_scenario.json"))
+    table.append(f"demo v_scenario {_report_digest(demo)}")
+    digest = hashlib.sha256("".join(line + "\n" for line in table).encode()).hexdigest()
+    if digest != REPORT_TABLE_SHA256:
+        with open(os.path.join(ROOT, REPORT_TABLE_RECORD)) as fh:
+            pinned = json.load(fh)["seed1_reports"]["table"]
+        differ = [(got, want) for got, want in zip(table, pinned) if got != want]
+        first = differ[0] if differ else (f"{len(table)} lines", f"{len(pinned)} lines")
+        pytest.fail(f"table digest {digest}; first difference {first[0]!r}, pinned {first[1]!r}")

@@ -15,6 +15,8 @@ already is; ``_word`` converts anything else once), and a block is
 compared as one slice, ``z[lo:hi] == x[lo:hi]``, instead of bit by bit.
 Every word passes through ``_word`` before it is sliced, so a tuple or
 list never meets ``bytes`` in a comparison, where it would never be equal.
+Whole-word steps are single ``bytes`` calls: ``BitSeq`` checks a word
+with one ``translate`` and ``non_subset_witness`` flips x with another.
 """
 
 from bisect import bisect_left, bisect_right
@@ -31,7 +33,6 @@ from .errors import (
 )
 
 
-_BIT_VALUES = frozenset((0, 1))
 # Swaps 0 and 1 in a word held as bytes.
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 _TO01 = bytes.maketrans(b"\x00\x01", b"01")
@@ -58,11 +59,6 @@ def _word(bits):
     if isinstance(bits, BitSeq):
         return bits.bits
     return bytes(bits)
-
-
-def _flip(word):
-    """The bytes word with every bit swapped."""
-    return _word(word).translate(_FLIP)
 
 
 @dataclass(frozen=True, init=False)
@@ -105,15 +101,20 @@ class IncSeq:
 
 @dataclass(frozen=True, init=False)
 class BitSeq:
-    """A finite word over {0, 1}, held as ``bytes`` and validated once, when built."""
+    """A finite word over {0, 1}, held as ``bytes`` and validated once, when built:
+    any container of integers becomes ``bytes``, and one ``translate`` checks it."""
 
     bits: bytes
 
     def __init__(self, bits=b""):
         vals = bits if isinstance(bits, (bytes, bytearray)) else _integers(bits)
-        if not _BIT_VALUES.issuperset(vals):
-            raise ValueError("bits must be 0 or 1")
-        object.__setattr__(self, "bits", bytes(vals))
+        try:
+            word = bytes(vals)
+            if word.translate(None, b"\x00\x01"):
+                raise ValueError
+        except ValueError:  # a byte other than 0 or 1, or an entry outside range(256)
+            raise ValueError("bits must be 0 or 1") from None
+        object.__setattr__(self, "bits", word)
 
     @classmethod
     def from01(cls, text):
@@ -207,12 +208,15 @@ def e_member(z, x, f, m, w):
     return True
 
 
-def _splice_witness(flipped, y, f, g, w):
-    """The witness word as bytes, built from ``flipped``, the flip of x.
+def non_subset_witness(x, y, f, g, w):
+    """A word that disagrees with x in every f-block yet copies y on two g-blocks.
 
-    Both ``non_subset_witness`` and the order audit build through here;
-    the audit flips each rank's validated word once and hands it in, so
-    the spliced word needs no second validation.
+    Violating g-blocks are thinned greedily to a pairwise non-adjacent
+    selection A'; the word is y on the selected blocks and the flip of x
+    everywhere else.  Non-adjacency matters: no f-block can span from one
+    selected block to another without crossing an unselected gap, where
+    the flip forces a disagreement.  Raises InsufficientViolations when
+    fewer than two non-adjacent violations exist.
     """
     fv, gv = _tuple(f), _tuple(g)
     chosen = []
@@ -225,27 +229,14 @@ def _splice_witness(flipped, y, f, g, w):
             f"need 2 non-adjacent violating blocks, found {len(chosen)}"
         )
     need = max(fv[-1], gv[-1])
-    fx, yv = _word(flipped), _word(y)
-    if len(fx) < need or len(yv) < need:
+    xv, yv = _word(x), _word(y)
+    if len(xv) < need or len(yv) < need:
         raise LengthTooShort(f"reference words must cover positions below {need}")
-    z = bytearray(fx[:need])
+    z = bytearray(xv[:need].translate(_FLIP))
     for n in chosen:
         lo, hi = gv[n], gv[n + 1]
         z[lo:hi] = yv[lo:hi]
-    return bytes(z)
-
-
-def non_subset_witness(x, y, f, g, w):
-    """A word that disagrees with x in every f-block yet copies y on two g-blocks.
-
-    Violating g-blocks are thinned greedily to a pairwise non-adjacent
-    selection A'; the word is y on the selected blocks and the flip of x
-    everywhere else.  Non-adjacency matters: no f-block can span from one
-    selected block to another without crossing an unselected gap, where
-    the flip forces a disagreement.  Raises InsufficientViolations when
-    fewer than two non-adjacent violations exist.
-    """
-    return BitSeq(_splice_witness(_flip(x), y, f, g, w))
+    return BitSeq(z)
 
 
 def remark_counterexamples(bound):

@@ -17,10 +17,10 @@ A comparable cell needs at least one judged block with no violation.
 A separated cell needs a clean recorded gap and a witness word that
 re-checks (``witness_valid: false`` leaves it undetermined): the word
 must disagree with x in every judged block of t_a and copy y on two
-blocks of t_b.  Each rank's Cohen word, validated when the run's reals
-were derived, is padded and flipped once, for every witness; every
-witness is still re-checked block by block, over every judged block of
-t_a and every block of t_b.  The report's bytes are those of
+blocks of t_b.  Each rank's Cohen word is padded once, and every
+witness is built by the public ``non_subset_witness`` from the padded
+words, then re-checked block by block, over every judged block of t_a
+and every block of t_b.  The report's bytes are those of
 ``json.dumps(obj, sort_keys=True, indent=2)``, written by a small writer
 of its own.
 """
@@ -32,9 +32,8 @@ from dataclasses import asdict, dataclass, field, fields
 from itertools import product
 from json.encoder import encode_basestring_ascii
 
-from .blocks import BitSeq, Window, e_member, refines_at
-from .blocks import _flip, _judged_refine_indices, _splice_witness, _word
-from .blocks import non_subset_witness  # noqa: F401  (a seam perfbench/tracing.py rebinds)
+from .blocks import BitSeq, Window, e_member, non_subset_witness, refines_at
+from .blocks import _judged_refine_indices, _word
 from .engine import (
     CohenDisagreeGoal,
     DominateGoal,
@@ -94,6 +93,13 @@ class Scenario:
     def __post_init__(self):
         if not isinstance(self.poset, Poset):
             raise SpecError(f'"poset" must be a Poset, got {self.poset!r}')
+        cof = self.cofinal
+        # A string would read as its characters, and a list would leave the scenario unhashable.
+        if not isinstance(cof, (set, frozenset, list, tuple)) or not all(
+            isinstance(e, str) and e in self.poset.elements for e in cof
+        ):
+            raise SpecError(f'"cofinal" must be a set of elements of the poset, got {cof!r}')
+        object.__setattr__(self, "cofinal", frozenset(cof))
         if not isinstance(self.plan, GoalPlan):
             raise SpecError(f'"plan" must be a GoalPlan, got {self.plan!r}')
         if not _is_int(self.resolution) or self.resolution < 1:
@@ -266,16 +272,15 @@ def _gap_is_clean(d_a, d_b, index, block):
     return i == len(av) or av[i] >= hi
 
 
-def _witness_evidence(x, flipped, y, d_a, d_b, w):
-    """Build a separating word from x's flip and re-check it against x and y.
+def _witness_evidence(x, y, d_a, d_b, w):
+    """Build a separating word with ``non_subset_witness`` and re-check it against x and y.
 
-    Every word is padded to cover w and already validated, so the word
-    spliced from them is not validated again; the re-checks below judge
-    every block of t_a and count the agreeing blocks of t_b all the same,
-    over the built word as bytes, whatever type the builder handed back.
+    Both words are padded to cover w.  The re-checks judge every block of
+    t_a and count the agreeing blocks of t_b over the built word as bytes,
+    whatever type the builder handed back.
     """
     try:
-        zv = _word(_splice_witness(flipped, y, d_a, d_b, w))
+        zv = _word(non_subset_witness(x, y, d_a, d_b, w))
     except InsufficientViolations as err:
         return {"witness_valid": False, "witness_note": str(err)}
     bv = d_b.values
@@ -291,8 +296,9 @@ def check_isomorphism(run, question_variant=False):
     either certified to match the order or left undetermined; ``ok``
     means no cell is undetermined.  A separated cell needs a clean gap
     and a witness that re-checks.  Witnesses share one window and each
-    rank's word, padded to it once; each reads nothing past its pair's
-    larger last value, so a pair judges the blocks its own window would.
+    rank's word, padded to it once; ``non_subset_witness`` reads nothing
+    past its pair's larger last value, so a pair judges the blocks its
+    own window would.
     """
     rp = run.rp
     elements = sorted(rp.poset.elements)
@@ -301,7 +307,6 @@ def check_isomorphism(run, question_variant=False):
     limit = max((d.last for d in dom.values() if len(d)), default=0)
     w = Window(0, limit)
     words = {r: bits.bits.ljust(limit, b"\0") for r, bits in run.derived.cohen.items()}
-    flips = {}
     cells = {}
     variant = []
 
@@ -355,11 +360,8 @@ def check_isomorphism(run, question_variant=False):
                 evidence = {"route": "recorded-blocks", "gaps": audited}
                 verdict = "undetermined"
                 if any(g["clean"] for g in audited):
-                    r = rp.ranks[a]
-                    if r not in flips:
-                        flips[r] = _flip(words[r])
-                    x, y = words[r], words[rp.ranks[b]]
-                    evidence.update(_witness_evidence(x, flips[r], y, d_a, d_b, w))
+                    x, y = words[rp.ranks[a]], words[rp.ranks[b]]
+                    evidence.update(_witness_evidence(x, y, d_a, d_b, w))
                     if evidence["witness_valid"]:
                         verdict = "non-subset-certified"
                 elif not recorded:

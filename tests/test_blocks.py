@@ -22,7 +22,6 @@ from blockforcing import (
     remark_counterexamples,
     star_dominates_at,
 )
-from blockforcing.blocks import _splice_witness
 
 
 # -- oracles: independent recomputations by double loop --
@@ -80,8 +79,9 @@ def test_inc_seq_validation():
 def test_bit_seq_validation():
     assert BitSeq.from01("0110").to01() == "0110"
     assert len(BitSeq([1, 0])) == 2
-    with pytest.raises(ValueError):
-        BitSeq([0, 2])
+    for bad in (2, 255, 300, -1):
+        with pytest.raises(ValueError, match="^bits must be 0 or 1$"):
+            BitSeq([0, bad, 1])
 
 
 @pytest.mark.parametrize(
@@ -97,6 +97,24 @@ def test_containers_reject_non_integer_entries(make, entries):
     # no truncation and no parsing: a float or a string is not an entry
     with pytest.raises(ValueError):
         make(entries)
+
+
+@given(st.lists(st.one_of(st.integers(-1, 300), st.booleans()), max_size=12))
+def test_bit_seq_checks_every_container_alike(entries):
+    # A list, a tuple and (when every entry fits in a byte) bytes and a
+    # bytearray give the same word, or fail with the same message.
+    def outcome(form):
+        try:
+            return BitSeq(form).bits
+        except ValueError as err:
+            return str(err)
+
+    forms = [list(entries), tuple(entries)]
+    if all(0 <= v <= 255 for v in entries):
+        forms += [bytes(entries), bytearray(entries)]
+    outcomes = {outcome(form) for form in forms}
+    good = all(v in (0, 1) for v in entries)
+    assert outcomes == {bytes(entries) if good else "bits must be 0 or 1"}
 
 
 def test_containers_convert_bools():
@@ -385,26 +403,6 @@ def test_witness_checked_by_oracles_on_any_container(f, g, x_kind, y_kind, fg_ki
     assert any(later > first + 1 for first in agreeing for later in agreeing)
 
 
-@given(inc_seqs, inc_seqs, st.data())
-def test_audit_builder_is_the_public_witness(f, g, data):
-    # The order audit builds from each rank's word flipped once; fed flip(x),
-    # its builder returns the public witness's bits or fails the same way.
-    w = Window(0, 40)
-    need = max(f.last, g.last)
-    bits = st.lists(st.integers(0, 1), min_size=max(need - 2, 0), max_size=need + 2)
-    x, y = data.draw(bits), data.draw(bits)
-
-    def outcome(build):
-        try:
-            return build()
-        except (InsufficientViolations, LengthTooShort) as err:
-            return type(err), str(err)
-
-    public = outcome(lambda: non_subset_witness(x, y, f, g, w).bits)
-    audit = outcome(lambda: _splice_witness(tuple(1 - b for b in x), tuple(y), f, g, w))
-    assert audit == public
-
-
 @settings(max_examples=300, deadline=None)
 @given(inc_seqs, inc_seqs, st.integers(0, 4), st.data())
 def test_word_functions_read_every_container_alike(f, g, m, data):
@@ -414,9 +412,8 @@ def test_word_functions_read_every_container_alike(f, g, m, data):
     need = max(f.last, g.last)
     bits = st.lists(st.integers(0, 1), min_size=max(need - 2, 0), max_size=need + 2)
     z, x, y = data.draw(bits), data.draw(bits), data.draw(bits)
-    flipped = [1 - b for b in x]
     kinds = st.sampled_from([tuple, list, bytes, BitSeq])
-    kz, kx, ky, kf = (data.draw(kinds) for _ in range(4))
+    kz, kx, ky = (data.draw(kinds) for _ in range(3))
 
     def outcome(call):
         try:
@@ -424,14 +421,13 @@ def test_word_functions_read_every_container_alike(f, g, m, data):
         except (InsufficientViolations, LengthTooShort) as err:
             return type(err), str(err)
 
-    def outcomes(kz, kx, ky, kf):
+    def outcomes(kz, kx, ky):
         return (
             outcome(lambda: e_member(kz(z), kx(x), f, m, w)),
             outcome(lambda: non_subset_witness(kx(x), ky(y), f, g, w)),
-            outcome(lambda: _splice_witness(kf(flipped), ky(y), f, g, w)),
         )
 
-    assert outcomes(kz, kx, ky, kf) == outcomes(BitSeq, BitSeq, BitSeq, BitSeq)
+    assert outcomes(kz, kx, ky) == outcomes(BitSeq, BitSeq, BitSeq)
 
 
 # -- the separating certificate search --

@@ -105,6 +105,9 @@ def test_scenario_rejects_malformed(obj):
         ("ground_reals", (3,)),
         ("plan", {"min_t_length": 1}),
         ("poset", {"elements": ["a"]}),
+        ("cofinal", "abc"),
+        ("cofinal", 3),
+        ("cofinal", frozenset({"a", "z"})),
     ],
     ids=[
         "seed-bool",
@@ -115,6 +118,9 @@ def test_scenario_rejects_malformed(obj):
         "pattern-int",
         "plan-dict",
         "poset-dict",
+        "cofinal-str",
+        "cofinal-int",
+        "cofinal-unknown",
     ],
 )
 def test_scenario_checks_itself_however_made(field, value):
@@ -123,6 +129,13 @@ def test_scenario_checks_itself_however_made(field, value):
     sc = Scenario(poset=V_POSET, cofinal=frozenset("abc"))
     with pytest.raises(SpecError):
         dataclasses.replace(sc, **{field: value})
+
+
+def test_scenario_keeps_a_list_cofinal_as_a_frozenset():
+    sc = Scenario(poset=V_POSET, cofinal=["a", "c"])
+    assert sc == Scenario(poset=V_POSET, cofinal=frozenset({"a", "c"}))
+    assert type(sc.cofinal) is frozenset
+    hash(sc)
 
 
 def test_scenario_builds_its_patterns_with_its_seed():
@@ -327,10 +340,10 @@ def test_order_audit_rechecks_the_words_it_builds(build, tmp_path, capsys, monke
     path.write_text(json.dumps(obj))
     assert run_scenario(_scenario(obj))[1].ok
 
-    def broken(flipped, y, f, g, w):
-        return tuple(flipped) if build == "flip-unspliced" else tuple(1 - v for v in flipped)
+    def broken(x, y, f, g, w):
+        return tuple(1 - v for v in x) if build == "flip-unspliced" else tuple(x)
 
-    monkeypatch.setattr(harness, "_splice_witness", broken)
+    monkeypatch.setattr(harness, "non_subset_witness", broken)
     _, iso, _ = run_scenario(_scenario(obj))
     for a, b in (("x", "y"), ("y", "x")):
         cell = iso.cells[a][b]
