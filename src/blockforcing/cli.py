@@ -4,7 +4,8 @@ Three subcommands: ``run`` executes a scenario file and emits the audit
 report, ``check-poset`` ranks a poset file, and ``oracle`` exposes the
 finite block comparisons for one-off use.  Exit codes are uniform:
 0 success, 1 honest failure (audit failed, budget exhausted, a name
-cannot advance, search found nothing), 2 malformed input or an unwritable report path.
+cannot advance, search found nothing, memory ran out), 2 malformed input
+or an unwritable report path.
 """
 
 import argparse
@@ -222,6 +223,9 @@ def main(argv=None):
     except BlockForcingError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except MemoryError as err:
+        print(f"out of memory: {str(err) or 'an allocation failed'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

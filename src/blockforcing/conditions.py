@@ -90,14 +90,15 @@ def restrict(p, b, rp):
 
 
 def condition_of(ws, prev):
-    """ws frozen, at ws.rp's ranks, sharing with prev every piece that did not grow."""
+    """ws frozen, at ws.rp's ranks, sharing with prev every piece that did not grow;
+    parts keep the workspace's order, unsorted (readers that need an order sort)."""
     coords = {}
-    for b, (vals, name) in sorted(ws.coords.items()):
+    for b, (vals, name) in ws.coords.items():
         old = prev.coords.get(b)
         grew = old is None or old.name is not name or len(old.t) != len(vals)
         coords[b] = CoordPart(tuple(vals), name) if grew else old
     cohen = {}
-    for r in sorted({ws.rp.ranks[x] for x in coords}):
+    for r in {ws.rp.ranks[x] for x in coords}:
         bits, old = ws.cohen.get(r, b""), prev.cohen.get(r)
         cohen[r] = bytes(bits) if old is None or len(old) != len(bits) else old
     return Condition(cohen, coords)
@@ -105,14 +106,10 @@ def condition_of(ws, prev):
 
 def _reads_below(nm, b, p, rp):
     """Whether nm reads only ``restrict(p, b, rp)`` and b's Cohen rank: the clause 3b context."""
-    own = rp.rank_of(b)  # an unknown b raises UnknownElement, as in restrict
-    elements, ranks = coordinate_elements(nm), diagonal_ranks(nm)
-    if not elements and (not ranks or ranks == {own}):
-        return True  # reads nothing but b's own Cohen rank
-    below = rp.below[b]
+    ranks = diagonal_ranks(nm) - {rp.rank_of(b)}  # an unknown b raises UnknownElement
+    elements, below = coordinate_elements(nm), rp.below[b]
     if not (elements <= below and elements <= p.coords.keys()):
         return False
-    ranks = ranks - {own}
     return not ranks or ranks <= p.cohen.keys() & {rp.ranks[x] for x in below if x in p.coords}
 
 
@@ -161,7 +158,7 @@ def leq_check(p, q, rp, certs=frozenset(), cache=None):
     for rank in sorted(q.cohen):
         old = q.cohen[rank]
         new = p.cohen.get(rank, b"")
-        if new is not old and new[: len(old)] != old:
+        if new is not old and not new.startswith(old):
             violations.append(Violation("2", rank, "Cohen prefix not extended"))
 
     shared = q.support & p.support
@@ -174,7 +171,7 @@ def leq_check(p, q, rp, certs=frozenset(), cache=None):
         if new_vals[: len(old_vals)] != old_vals:
             violations.append(Violation("3", b, "t-sequence not extended"))
             continue
-        if name_new is not name_old and not _names_linked(name_old, name_new, certs):
+        if not _names_linked(name_old, name_new, certs):
             violations.append(
                 Violation("3a", b, "names differ and no certificate chain connects them")
             )

@@ -523,11 +523,6 @@ def _write(o, out, nl):
             out.append("[]")
             return
         inner = nl + "  "
-        kinds = set(map(type, o))
-        leaf = _LEAVES.get(kinds.pop()) if len(kinds) == 1 else None
-        if leaf is not None:
-            out.append("[" + inner + ("," + inner).join(map(leaf, o)) + nl + "]")
-            return
         sep = "[" + inner
         for v in o:
             out.append(sep)

@@ -30,6 +30,7 @@ from blockforcing import (
 from blockforcing.conditions import (
     Condition,
     CoordPart,
+    _reads_below,
     condition_of,
 )
 from blockforcing.engine import start_condition
@@ -674,10 +675,10 @@ _LEAF_NAMES = st.one_of(
 )
 
 
-def _nested_names(levels):
+def _nested_names(levels, leaves=_LEAF_NAMES):
     if levels == 0:
-        return _LEAF_NAMES
-    below = _nested_names(levels - 1)
+        return leaves
+    below = _nested_names(levels - 1, leaves)
     return st.one_of(below, st.builds(MergeName, below, below))
 
 
@@ -699,6 +700,38 @@ def _leaf_reads(nm):
 def test_name_introspection(nm):
     # what a merge recorded when built is what a walk over its leaves finds
     assert (coordinate_elements(nm), diagonal_ranks(nm)) == _leaf_reads(nm)
+
+
+@st.composite
+def _reads_below_cases(draw):
+    """A name over one small poset's coordinates and ranks, an element b, and a p
+    holding some of the coordinates and some Cohen ranks (empty data: only keys count)."""
+    rp = compute_ranks(random_poset(draw(st.integers(0, 10_000)), max_elements=5))
+    elements, ranks = sorted(rp.poset.elements), range(rp.top_rank + 2)
+    leaves = st.one_of(
+        st.builds(GroundName, st.integers(0, 3), st.integers(1, 3)),
+        st.builds(CoordinateName, st.sampled_from(elements)),
+        st.builds(DiagonalName, st.just(ZEROS), st.sampled_from(ranks)),
+    )
+    p = Condition(
+        cohen=dict.fromkeys(draw(st.sets(st.sampled_from(ranks))), b""),
+        coords=dict.fromkeys(draw(st.sets(st.sampled_from(elements))), CoordPart((), GroundName(0, 1))),
+    )
+    return draw(_nested_names(3, leaves)), draw(st.sampled_from(elements)), p, rp
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reads_below_cases())
+def test_reads_below_is_the_restricted_context(case):
+    # Clause 3b's context as the module states it: nm reads only what
+    # restrict(p, b) keeps, and the Cohen prefix at b's own rank.
+    nm, b, p, rp = case
+    below = restrict(p, b, rp)
+    expected = (
+        coordinate_elements(nm) <= below.coords.keys()
+        and diagonal_ranks(nm) - {rp.ranks[b]} <= below.cohen.keys()
+    )
+    assert _reads_below(nm, b, p, rp) == expected
 
 
 def _first_block(bounds, lo):

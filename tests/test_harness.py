@@ -541,8 +541,8 @@ _ESCAPES = '"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\ud800\U0001d11e'
 _TEXT = st.text() | st.text(alphabet=_ESCAPES)
 _INTS = st.integers() | st.sampled_from([10**300, -(10**300), 2**63, -(2**63) - 1, -1, 0])
 _LEAF = st.none() | st.booleans() | _INTS | _TEXT
-# Lists of one leaf type take the writer's one-join path; the others,
-# bools mixed with ints among them, go item by item.
+# The writer takes every list item by item. Lists of one leaf type are drawn
+# on their own too, as reports hold many; _TREES also mixes types (bools among ints).
 _LEAF_LISTS = st.one_of([st.lists(leaf, max_size=6) for leaf in (_INTS, st.booleans(), _TEXT, st.none())])
 _TREES = st.recursive(
     _LEAF | _LEAF_LISTS,
@@ -748,6 +748,18 @@ def test_cli_run_cannot_advance(v_scenario_file, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "cannot advance: name nesting exceeds the depth bound\n"
+
+
+def test_cli_run_out_of_memory(v_scenario_file, monkeypatch, capsys):
+    # memory running out is an honest failure, told in one line, not a traceback
+    def exhausted(sc):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_scenario", exhausted)
+    assert main(["run", str(v_scenario_file)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "out of memory: an allocation failed\n"
 
 
 def test_cli_rejects_malformed_input(tmp_path, capsys):
